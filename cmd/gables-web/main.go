@@ -22,21 +22,15 @@
 // -queue bounds each class's wait queue, and requests beyond both are
 // shed with 429 (flags override GABLES_MAX_INFLIGHT / GABLES_QUEUE_DEPTH).
 //
-// -peer-cache points the simulation cache at another replica's /simcache/
-// surface (overriding GABLES_PEER_CACHE) so a fleet deduplicates sim work:
-// each replica consults its peer before simulating and pushes fresh
-// results back. This replica's own /simcache/ surface is served only when
-// peer serving is enabled — explicitly with -serve-peer, or implicitly
-// when -peer-cache/GABLES_PEER_CACHE makes it part of a mesh — because
-// the surface accepts cache pushes and so assumes a trusted network;
-// -peer-token (or GABLES_PEER_TOKEN) adds a shared bearer token in both
-// directions for fleets whose network is not.
+// GABLES_CACHE_DIR enables the simulation cache's on-disk layer, as it
+// does for gables-repro and gables-erb. Replicas pointed at one directory
+// deduplicate sim work: a point one of them simulated is a disk hit for
+// the others.
 //
 // Usage:
 //
 //	gables-web [-addr :8337] [-backend auto] [-pprof 6060]
 //	           [-max-inflight 64] [-queue 128]
-//	           [-peer-cache http://replica:8337] [-serve-peer] [-peer-token T]
 package main
 
 import (
@@ -77,36 +71,13 @@ func main() {
 		strings.Join(eval.Names(), "|")+" (default sim; requests override with ?backend=)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrent evaluations (0 = GABLES_MAX_INFLIGHT or default)")
 	queueDepth := flag.Int("queue", 0, "admission queue depth per class (0 = GABLES_QUEUE_DEPTH or default)")
-	peerCache := flag.String("peer-cache", "", "peer replica base URL for sim-cache dedup (empty = GABLES_PEER_CACHE)")
-	servePeer := flag.Bool("serve-peer", false, "serve this replica's /simcache/ peer surface (implied by -peer-cache/GABLES_PEER_CACHE; assumes a trusted network unless -peer-token is set)")
-	peerToken := flag.String("peer-token", "", "shared bearer token for the peer surface and outgoing peer requests (empty = GABLES_PEER_TOKEN)")
 	flag.Parse()
 
-	if err := selectBackend(*backend); err != nil {
+	opts, err := configure(*backend, *maxInFlight, *queueDepth)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "gables-web:", err)
 		os.Exit(1)
 	}
-	peerBase := *peerCache
-	if peerBase == "" {
-		peerBase = os.Getenv(simcache.EnvPeer)
-	}
-	token := *peerToken
-	if token == "" {
-		token = os.Getenv(simcache.EnvPeerToken)
-	}
-	simcache.EnablePeer(peerBase)
-	if token != "" {
-		simcache.EnablePeerToken(token)
-	}
-	opts := web.EnvOptions()
-	if *maxInFlight > 0 {
-		opts.MaxInFlight = *maxInFlight
-	}
-	if *queueDepth > 0 {
-		opts.QueueDepth = *queueDepth
-	}
-	opts.ServePeer = *servePeer || peerBase != ""
-	opts.PeerToken = token
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -114,6 +85,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gables-web:", err)
 		os.Exit(1)
 	}
+}
+
+// configure applies the process-wide settings — the default backend and
+// the sim cache's disk layer from GABLES_CACHE_DIR — and returns the
+// handler options from the environment with the flag overrides applied.
+func configure(backend string, maxInFlight, queueDepth int) (web.Options, error) {
+	if err := selectBackend(backend); err != nil {
+		return web.Options{}, err
+	}
+	simcache.EnableDiskFromEnv()
+	opts := web.EnvOptions()
+	if maxInFlight > 0 {
+		opts.MaxInFlight = maxInFlight
+	}
+	if queueDepth > 0 {
+		opts.QueueDepth = queueDepth
+	}
+	return opts, nil
 }
 
 // selectBackend validates -backend at flag-parse time — a typo'd name

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"github.com/gables-model/gables/internal/eval"
+	"github.com/gables-model/gables/internal/simcache"
 	"github.com/gables-model/gables/internal/web"
 )
 
@@ -54,9 +56,9 @@ func waitForAddr(t *testing.T, out *syncBuffer, n int) string {
 
 // startRun launches run on a background goroutine and returns the error
 // channel carrying its exit.
-func startRun(ctx context.Context, addr string, pprofPort int, out io.Writer) chan error {
+func startRun(ctx context.Context, addr string, pprofPort int, opts web.Options, out io.Writer) chan error {
 	done := make(chan error, 1)
-	go func() { done <- run(ctx, addr, pprofPort, web.Options{}, out) }()
+	go func() { done <- run(ctx, addr, pprofPort, opts, out) }()
 	return done
 }
 
@@ -84,7 +86,7 @@ func TestRunServeAndGracefulShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	out := &syncBuffer{}
-	done := startRun(ctx, "127.0.0.1:0", 0, out)
+	done := startRun(ctx, "127.0.0.1:0", 0, web.Options{}, out)
 
 	host := waitForAddr(t, out, 1)
 	resp, err := http.Get("http://" + host + "/")
@@ -111,7 +113,7 @@ func TestRunWithPprofListener(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	out := &syncBuffer{}
-	done := startRun(ctx, "127.0.0.1:0", port, out)
+	done := startRun(ctx, "127.0.0.1:0", port, web.Options{}, out)
 
 	waitForAddr(t, out, 2) // pprof announced second
 	resp, err := http.Get(fmt.Sprintf("http://localhost:%d/debug/pprof/", port))
@@ -192,5 +194,48 @@ func TestSelectBackend(t *testing.T) {
 		if !strings.Contains(err.Error(), "allowed:") || !strings.Contains(err.Error(), "surrogate") {
 			t.Errorf("selectBackend(%q) error %q does not list the allowed set", name, err)
 		}
+	}
+}
+
+// TestCacheDirFromEnv pins the startup wiring replicas share sim work
+// through: with GABLES_CACHE_DIR set, a sim /eval answered by the
+// configured server writes its run to that directory, where another
+// replica pointed at it finds the entry instead of simulating.
+func TestCacheDirFromEnv(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv(simcache.EnvDir, dir)
+	t.Cleanup(simcache.DisableDisk)
+	simcache.ResetDefault() // the run must miss memory to reach the disk layer
+
+	opts, err := configure("", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := &syncBuffer{}
+	done := startRun(ctx, "127.0.0.1:0", 0, opts, out)
+
+	host := waitForAddr(t, out, 1)
+	resp, err := http.Get("http://" + host + "/eval?backend=sim&f=0.375&fpw=96")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /eval = %d: %s", resp.StatusCode, body)
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) == 0 {
+		t.Fatalf("no cache entry written to GABLES_CACHE_DIR %s", dir)
+	}
+
+	cancel()
+	if err := waitExit(t, done); err != nil {
+		t.Fatalf("graceful shutdown returned %v", err)
 	}
 }

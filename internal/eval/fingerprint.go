@@ -51,7 +51,7 @@ func Fingerprint(q Query) (string, error) {
 
 // Key builds a content-addressed cache key under the eval namespace: the
 // one key-derivation scheme for every evaluation-layer cache (backend
-// outcome caches, the usecase-analysis cache, the web page cache). scope
+// outcome caches, the web page cache). scope
 // must be a versioned label like "web-two-ip/v1"; bump its version when
 // the keyed value's meaning changes.
 func Key(scope string, parts ...any) (string, error) {

@@ -9,12 +9,9 @@
 //     key — parallel.Map workers on overlapping grids, simultaneous web
 //     form submissions — block on one computation instead of N;
 //   - an optional on-disk layer (Options.Dir, wired to the -cache flag and
-//     GABLES_CACHE_DIR) lets reruns and CI determinism diffs skip
-//     already-simulated points across processes;
-//   - an optional HTTP peer tier (SetPeer, wired to GABLES_PEER_CACHE; see
-//     peer.go) lets a fleet of replicas deduplicate simulation work
-//     fleet-wide: a local miss consults the peer before computing, and
-//     fresh computations are pushed back.
+//     GABLES_CACHE_DIR) lets reruns, CI determinism diffs and replicas
+//     sharing one directory skip already-simulated points across
+//     processes.
 //
 // The LRU is sharded (power-of-two shard count, per-shard mutex, shard
 // chosen by a hash of the key prefix) so parallel grid workers don't
@@ -38,22 +35,17 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 // Stats is a point-in-time snapshot of a cache's counters. Semantics,
 // pinned by tests: every lookup increments exactly one of Hits, DiskHits,
-// PeerHits, Coalesced, or Misses (per Get), or Bypassed (per Bypass — a
-// lookup the caller deliberately routed around the cache, e.g. a traced
-// run).
+// Coalesced, or Misses (per Get), or Bypassed (per Bypass — a lookup the
+// caller deliberately routed around the cache, e.g. a traced run).
 type Stats struct {
 	// Hits counts Gets served from the in-memory LRU.
 	Hits int64 `json:"hits"`
 	// DiskHits counts Gets served by decoding an on-disk entry.
 	DiskHits int64 `json:"disk_hits"`
-	// PeerHits counts Gets served by fetching a peer replica's entry
-	// (the tier behind disk; see peer.go).
-	PeerHits int64 `json:"peer_hits"`
 	// Misses counts Gets that ran the computation (including ones whose
 	// computation failed).
 	Misses int64 `json:"misses"`
@@ -74,7 +66,6 @@ type Stats struct {
 func (s *Stats) add(o Stats) {
 	s.Hits += o.Hits
 	s.DiskHits += o.DiskHits
-	s.PeerHits += o.PeerHits
 	s.Misses += o.Misses
 	s.Coalesced += o.Coalesced
 	s.Bypassed += o.Bypassed
@@ -118,16 +109,6 @@ type Cache[V any] struct {
 
 	dirMu sync.Mutex
 	dir   string
-
-	// Peer tier state (see peer.go): base URL and bearer token ("" each
-	// disables), plus the circuit breaker and the in-flight push-back
-	// tracker.
-	peerMu        sync.Mutex
-	peer          string
-	peerToken     string
-	peerFails     int       // consecutive transport failures
-	peerDownUntil time.Time // breaker open until this instant (zero = closed)
-	peerWG        sync.WaitGroup
 }
 
 // shard is one lock domain: a slice of the key space with its own LRU,
@@ -247,34 +228,22 @@ func (c *Cache[V]) Get(key string, compute func() (V, error)) (V, error) {
 	s.flights[key] = f
 	s.mu.Unlock()
 
-	// Tier order behind memory: disk, then peer, then compute. A peer
-	// hit warms the local disk layer (when enabled); a fresh computation
-	// propagates to both, so the fleet converges on one computation per
-	// content-addressed key. The peer push-back is asynchronous (pushPeer):
-	// the Get that just paid for the computation — and every coalesced
-	// waiter behind it — never also waits on the network.
-	fromDisk, fromPeer := false, false
+	// Behind memory: disk, then compute. A fresh computation is written
+	// to disk (when enabled), so other processes sharing the directory —
+	// later runs, or replicas — find it instead of recomputing.
 	v, err := c.loadDisk(key)
-	if err == nil {
-		fromDisk = true
-	} else if v, err = c.loadPeer(key); err == nil {
-		fromPeer = true
-		c.storeDisk(key, v)
-	} else {
+	fromDisk := err == nil
+	if !fromDisk {
 		v, err = compute()
 		if err == nil {
 			c.storeDisk(key, v)
-			c.pushPeer(key, v)
 		}
 	}
 
 	s.mu.Lock()
-	switch {
-	case fromDisk:
+	if fromDisk {
 		s.stats.DiskHits++
-	case fromPeer:
-		s.stats.PeerHits++
-	default:
+	} else {
 		s.stats.Misses++
 	}
 	if err == nil {
@@ -296,34 +265,6 @@ func (c *Cache[V]) Peek(key string) bool {
 	defer s.mu.Unlock()
 	_, ok := s.entries[key]
 	return ok
-}
-
-// Lookup returns the in-memory value for key without computing, touching
-// LRU order, or incrementing any counter. It is the peer-serving read: a
-// replica answering another replica's lookup must account nothing locally
-// (the requesting side records the peer hit) and must never trigger
-// recursive work.
-func (c *Cache[V]) Lookup(key string) (V, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		return el.Value.(*entry[V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
-// Put inserts a value into the memory layer (and, when enabled, the disk
-// layer) without touching the per-Get counters. It is the peer-serving
-// write: an entry pushed by another replica is already accounted there.
-// The value must be content-addressed by key, exactly like a computed one.
-func (c *Cache[V]) Put(key string, v V) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	s.insertLocked(key, v)
-	s.mu.Unlock()
-	c.storeDisk(key, v)
 }
 
 // Bypass records one lookup that deliberately skipped the cache in both

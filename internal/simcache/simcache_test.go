@@ -204,6 +204,36 @@ func TestDiskLayerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSharedDirFleetDedup pins the fleet contract the disk layer carries:
+// two replicas pointed at one cache directory converge on one computation
+// per key — the second replica, running an overlapping mix, simulates
+// nothing and is served every answer from the first one's files.
+func TestSharedDirFleetDedup(t *testing.T) {
+	dir := t.TempDir()
+	a := New[int](Options{Capacity: 64, Dir: dir})
+	b := New[int](Options{Capacity: 64, Dir: dir})
+
+	const n = 16
+	for i := 0; i < n; i++ {
+		mustGet(t, a, fmt.Sprintf("grid-%d", i), func() (int, error) { return i * i, nil })
+	}
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("grid-%d", i)
+		v, err := b.Get(key, func() (int, error) {
+			return 0, fmt.Errorf("replica B recomputed %s", key)
+		})
+		if err != nil || v != i*i {
+			t.Fatalf("replica B Get(%s) = %d, %v; want %d", key, v, err, i*i)
+		}
+	}
+	if sa := a.Stats(); sa.Misses != n {
+		t.Errorf("replica A misses = %d, want %d (it computed the mix)", sa.Misses, n)
+	}
+	if sb := b.Stats(); sb.Misses != 0 || sb.DiskHits != n {
+		t.Errorf("replica B stats = %+v, want 0 misses and %d disk hits (fleet dedup)", sb, n)
+	}
+}
+
 // TestDiskCorruptEntryFallsBack: an undecodable file is treated as a miss
 // and overwritten by the recomputed value.
 func TestDiskCorruptEntryFallsBack(t *testing.T) {
