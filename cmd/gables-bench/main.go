@@ -45,8 +45,11 @@ type target struct {
 // evaluator, the experiment harness (sequential and parallel, so the
 // speedup floor below is checkable from one record), the batched analytic
 // grid, the coarse-to-fine sim grid, the simulation-result cache (cold vs
-// warm sweep grids), and the surrogate backend (fitted fast path vs the
-// cold sim query it stands in for, plus the warm-cache re-calibration).
+// warm sweep grids), the surrogate backend (fitted fast path vs the
+// cold sim query it stands in for, plus the warm-cache re-calibration),
+// the run and query fingerprints, and the warm /eval and /eval/batch
+// handlers. Benchmark names must be unique across packages: records
+// match results by name alone.
 var suite = []target{
 	{Pkg: "./internal/sim/engine", Bench: ".", Tier1: true},
 	{Pkg: "./internal/sim/mem", Bench: ".", Tier1: true},
@@ -57,6 +60,9 @@ var suite = []target{
 	{Pkg: "./internal/gridplan", Bench: "BenchmarkGridCoarseToFine$", Tier1: true},
 	{Pkg: "./internal/simcache", Bench: "BenchmarkCacheColdGrid$|BenchmarkCacheWarmGrid$", Tier1: true},
 	{Pkg: "./internal/surrogate", Bench: "BenchmarkSurrogateEvaluate$|BenchmarkSurrogateSimCold$|BenchmarkCalibrate$", Tier1: true},
+	{Pkg: "./internal/sim", Bench: "BenchmarkSimFingerprint$", Tier1: true},
+	{Pkg: "./internal/eval", Bench: "BenchmarkEvalFingerprint$", Tier1: true},
+	{Pkg: "./internal/web", Bench: "BenchmarkServeEval$|BenchmarkServeBatch$", Tier1: true},
 }
 
 // HarnessParallelFloor is the pinned minimum speedup of the parallel

@@ -446,3 +446,49 @@ func TestContextCancellation(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerprintGolden pins exact query keys: they address eval-layer
+// cache entries and surrogate artifacts across processes and versions,
+// so an encoder rewrite must reproduce these bytes exactly.
+func TestFingerprintGolden(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		serialized bool
+		want       string
+	}{
+		{"concurrent", false, "9a1a61db7dae1c93c634d4d37bb1a1324c76d486a4bf5d1c27189b69239fbd99"},
+		{"serialized", true, "fcdd0c32587f68ace820a78608913d8c8a6a8e6a0079bb20807669355e539715"},
+	} {
+		q := twoIPQuery(t, 0.5, 32)
+		q.Serialized = c.serialized
+		got, err := Fingerprint(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%s: Fingerprint = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+var fpSink string
+
+// BenchmarkEvalFingerprint measures the query key /eval and every batch item
+// attach to their answers: realization plus the delegated run key.
+func BenchmarkEvalFingerprint(b *testing.B) {
+	cfg := sim.Snapdragon835()
+	work, err := SplitWork(cfg, 4<<20, 64, kernel.ReadWrite, []Share{
+		{IP: "CPU", Fraction: 0.5}, {IP: "GPU", Fraction: 0.5},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := Query{Chip: cfg, Work: work, Trials: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if fpSink, err = Fingerprint(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

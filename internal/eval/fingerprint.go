@@ -33,20 +33,20 @@ func Fingerprint(q Query) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], FingerprintVersion)
-	h.Write(buf[:])
-	if q.Serialized {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
-	}
 	inner := sim.Fingerprint(q.Chip, as, opt)
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(inner)))
-	h.Write(buf[:])
-	h.Write([]byte(inner))
-	return hex.EncodeToString(h.Sum(nil)), nil
+	var stack [8 + 1 + 8 + 2*sha256.Size]byte
+	buf := binary.LittleEndian.AppendUint64(stack[:0], FingerprintVersion)
+	if q.Serialized {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(inner)))
+	buf = append(buf, inner...)
+	sum := sha256.Sum256(buf)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:]), nil
 }
 
 // Key builds a content-addressed cache key under the eval namespace: the

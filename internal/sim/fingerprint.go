@@ -40,7 +40,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
 
 	"github.com/gables-model/gables/internal/kernel"
@@ -68,59 +67,60 @@ const FingerprintVersion = 1
 //
 //fp:encoder
 func Fingerprint(cfg Config, assignments []Assignment, opt RunOptions) string {
-	w := fpWriter{h: sha256.New()}
-	w.uint64(FingerprintVersion)
+	var stack [fpStackBytes]byte
+	w := fpWriter(stack[:0])
+	w = w.uint64(FingerprintVersion)
 
 	// Config, declaration order.
-	w.str(cfg.Name)
-	w.f64(cfg.DRAMBandwidth)
-	w.uint64(uint64(len(cfg.Fabrics)))
+	w = w.str(cfg.Name)
+	w = w.f64(cfg.DRAMBandwidth)
+	w = w.uint64(uint64(len(cfg.Fabrics)))
 	for _, f := range cfg.Fabrics {
-		w.str(f.Name)
-		w.f64(f.Bandwidth)
-		w.str(f.Parent)
+		w = w.str(f.Name)
+		w = w.f64(f.Bandwidth)
+		w = w.str(f.Parent)
 	}
-	w.uint64(uint64(len(cfg.IPs)))
+	w = w.uint64(uint64(len(cfg.IPs)))
 	for _, spec := range cfg.IPs {
-		w.str(spec.Name)
-		w.f64(spec.ComputeRate)
-		w.f64(spec.LinkBandwidth)
-		w.f64(spec.WritePenalty)
-		w.f64(spec.CacheSize)
-		w.f64(spec.CacheBandwidth)
-		w.f64(spec.ChunkBytes)
-		w.uint64(uint64(spec.MaxInflight))
-		w.f64(spec.CoordinationOpsPerByte)
-		w.f64(spec.MemoryLatency)
-		w.str(spec.Fabric)
+		w = w.str(spec.Name)
+		w = w.f64(spec.ComputeRate)
+		w = w.f64(spec.LinkBandwidth)
+		w = w.f64(spec.WritePenalty)
+		w = w.f64(spec.CacheSize)
+		w = w.f64(spec.CacheBandwidth)
+		w = w.f64(spec.ChunkBytes)
+		w = w.uint64(uint64(spec.MaxInflight))
+		w = w.f64(spec.CoordinationOpsPerByte)
+		w = w.f64(spec.MemoryLatency)
+		w = w.str(spec.Fabric)
 	}
-	w.str(cfg.Host)
-	w.thermal(cfg.Thermal)
+	w = w.str(cfg.Host)
+	w = w.thermal(cfg.Thermal)
 
 	// Assignments, in order: order is semantically meaningful (results
 	// come back assignment-ordered and ties in the engine break by
 	// schedule order).
-	w.uint64(uint64(len(assignments)))
+	w = w.uint64(uint64(len(assignments)))
 	for _, a := range assignments {
-		w.str(a.IP)
+		w = w.str(a.IP)
 		// Kernel.Name is a display label only; excluded by design.
-		w.f64(float64(a.Kernel.WorkingSet))
-		w.uint64(uint64(a.Kernel.Trials))
-		w.uint64(uint64(a.Kernel.FlopsPerWord))
-		w.uint64(uint64(a.Kernel.Pattern))
+		w = w.f64(float64(a.Kernel.WorkingSet))
+		w = w.uint64(uint64(a.Kernel.Trials))
+		w = w.uint64(uint64(a.Kernel.FlopsPerWord))
+		w = w.uint64(uint64(a.Kernel.Pattern))
 	}
 
 	// Options. Probe is excluded by design (observe-only, no effect on
 	// the result — see the package comment).
-	w.bool(opt.Coordination)
-	w.bool(opt.Thermal)
+	w = w.bool(opt.Coordination)
+	w = w.bool(opt.Thermal)
 	maxEvents := opt.MaxEvents
 	if maxEvents == 0 {
 		maxEvents = DefaultMaxEvents
 	}
-	w.uint64(uint64(maxEvents))
+	w = w.uint64(uint64(maxEvents))
 
-	return hex.EncodeToString(w.h.Sum(nil))
+	return w.sum()
 }
 
 // FingerprintAssignment is a convenience for the common single-assignment
@@ -129,46 +129,51 @@ func FingerprintAssignment(cfg Config, ip string, k kernel.Kernel, opt RunOption
 	return Fingerprint(cfg, []Assignment{{IP: ip, Kernel: k}}, opt)
 }
 
-// fpWriter streams canonical primitives into the hash. Hash writes never
-// fail, so the helpers are error-free.
-type fpWriter struct {
-	h   hash.Hash
-	buf [8]byte
-}
+// fpStackBytes sizes the encoder's stack buffer: the largest preset chip
+// with every IP assigned encodes to about 1 KiB, so the common case never
+// touches the heap; larger inputs grow the buffer as append does.
+const fpStackBytes = 2048
 
-func (w *fpWriter) uint64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
-}
+// fpWriter is the canonical byte stream, hashed once at the end. SHA-256
+// of a concatenation does not depend on how it was chunked, so the keys
+// are those of writing each field to the hash in turn. The helpers append
+// and return the grown stream, like strconv's Append functions, which
+// keeps a stack-backed buffer on the stack.
+type fpWriter []byte
 
-func (w *fpWriter) f64(v float64) { w.uint64(math.Float64bits(v)) }
+func (w fpWriter) uint64(v uint64) fpWriter { return binary.LittleEndian.AppendUint64(w, v) }
 
-func (w *fpWriter) bool(v bool) {
+func (w fpWriter) f64(v float64) fpWriter { return w.uint64(math.Float64bits(v)) }
+
+func (w fpWriter) bool(v bool) fpWriter {
 	if v {
-		w.uint64(1)
-	} else {
-		w.uint64(0)
+		return w.uint64(1)
 	}
+	return w.uint64(0)
 }
 
-func (w *fpWriter) str(s string) {
-	w.uint64(uint64(len(s)))
-	w.h.Write([]byte(s))
+func (w fpWriter) str(s string) fpWriter { return append(w.uint64(uint64(len(s))), s...) }
+
+// sum returns the hex SHA-256 of the stream.
+func (w fpWriter) sum() string {
+	sum := sha256.Sum256(w)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
-func (w *fpWriter) thermal(c *thermal.Config) {
+func (w fpWriter) thermal(c *thermal.Config) fpWriter {
 	if c == nil {
-		w.bool(false)
-		return
+		return w.bool(false)
 	}
-	w.bool(true)
-	w.f64(c.Ambient)
-	w.f64(c.Resistance)
-	w.f64(c.Capacitance)
-	w.f64(c.IdlePower)
-	w.f64(c.EnergyPerOp)
-	w.f64(c.ThrottleAt)
-	w.f64(c.ResumeAt)
-	w.f64(c.ThrottleScale)
-	w.f64(c.Interval)
+	w = w.bool(true)
+	w = w.f64(c.Ambient)
+	w = w.f64(c.Resistance)
+	w = w.f64(c.Capacitance)
+	w = w.f64(c.IdlePower)
+	w = w.f64(c.EnergyPerOp)
+	w = w.f64(c.ThrottleAt)
+	w = w.f64(c.ResumeAt)
+	w = w.f64(c.ThrottleScale)
+	return w.f64(c.Interval)
 }

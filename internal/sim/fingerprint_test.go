@@ -159,3 +159,63 @@ func TestFingerprintMaxEventsNormalized(t *testing.T) {
 		t.Error("MaxEvents 0 and DefaultMaxEvents must share a fingerprint")
 	}
 }
+
+// TestFingerprintGolden pins exact keys. Fingerprints address on-disk
+// cache entries (GABLES_CACHE_DIR) and surrogate calibration artifacts,
+// so a rewrite of the encoder must reproduce these bytes exactly; a
+// deliberate encoding change bumps FingerprintVersion and re-pins them.
+func TestFingerprintGolden(t *testing.T) {
+	base, as, opt := fpBase()
+
+	ext := Snapdragon835Extended()
+	extAs := []Assignment{
+		{IP: "CPU", Kernel: fpKernel()},
+		{IP: "GPU", Kernel: kernel.Kernel{WorkingSet: 3 << 20, Trials: 1, FlopsPerWord: 64, Pattern: kernel.ReadOnly}},
+		{IP: "DSP", Kernel: kernel.Kernel{WorkingSet: 1 << 16, Trials: 4, FlopsPerWord: 1, Pattern: kernel.StreamCopy}},
+	}
+
+	hot := Snapdragon835()
+	hot.Thermal = &thermal.Config{
+		Ambient: 25, Resistance: 12, Capacitance: 0.05, IdlePower: 0.1, EnergyPerOp: 1e-11,
+		ThrottleAt: 80, ResumeAt: 70, ThrottleScale: 0.5, Interval: 1e-3,
+	}
+	noThermal := Snapdragon835()
+	noThermal.Thermal = nil
+
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		as   []Assignment
+		opt  RunOptions
+		want string
+	}{
+		{"snapdragon835", base, as, opt, "12ead9a78fb09dedac69da05d2d0c34017312d929bd1f6c91c616983c7246179"},
+		{"snapdragon835-extended", ext, extAs, RunOptions{Coordination: true}, "33a3d4180c2e5ff2d2f6e3c4ec5d9cd0a6aadca1ad38c07d360b70e858b87460"},
+		{"custom-thermal", hot, as, RunOptions{Thermal: true}, "6f01391ed60d25e5f5d166626519bcb0c73afb93f452e4909d81f59918c3ba7e"},
+		{"nil-thermal", noThermal, as, opt, "6259717f2b1c427831212d7005015327d4141a2d81b73a058b3878b32b8e42d3"},
+		{"max-events-zero", base, as, RunOptions{MaxEvents: 0}, "12ead9a78fb09dedac69da05d2d0c34017312d929bd1f6c91c616983c7246179"},
+		{"max-events-default", base, as, RunOptions{MaxEvents: DefaultMaxEvents}, "12ead9a78fb09dedac69da05d2d0c34017312d929bd1f6c91c616983c7246179"},
+		{"max-events-small", base, as, RunOptions{MaxEvents: 1000}, "d081830b3bcf8ecdaab01ec39ee23cb14bcd1dafcb6dfd2c1142a72836ac87e4"},
+	} {
+		if got := Fingerprint(c.cfg, c.as, c.opt); got != c.want {
+			t.Errorf("%s: Fingerprint = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+var fpSink string
+
+// BenchmarkSimFingerprint measures the run key of a two-IP split on the
+// calibrated chip: the key every sim answer and simcache lookup derives.
+func BenchmarkSimFingerprint(b *testing.B) {
+	cfg := Snapdragon835()
+	as := []Assignment{
+		{IP: "CPU", Kernel: kernel.Kernel{WorkingSet: 2 << 20, Trials: 2, FlopsPerWord: 64, Pattern: kernel.ReadWrite}},
+		{IP: "GPU", Kernel: kernel.Kernel{WorkingSet: 2 << 20, Trials: 2, FlopsPerWord: 64, Pattern: kernel.ReadWrite}},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fpSink = Fingerprint(cfg, as, RunOptions{})
+	}
+}

@@ -2,6 +2,7 @@ package simcache
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -170,19 +171,18 @@ func FormatStats(name string, s Stats) string {
 // (NaN/Inf floats, channels...) return an error — callers should then
 // bypass their cache.
 func Key(parts ...any) (string, error) {
-	h := sha256.New()
-	var buf [8]byte
+	var stack [512]byte // the eval scopes' keys fit; larger parts grow it
+	buf := stack[:0]
 	for i, p := range parts {
 		data, err := json.Marshal(p)
 		if err != nil {
 			return "", fmt.Errorf("simcache: key part %d: %w", i, err)
 		}
-		n := uint64(len(data))
-		for b := 0; b < 8; b++ {
-			buf[b] = byte(n >> (8 * b))
-		}
-		h.Write(buf[:])
-		h.Write(data)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(data)))
+		buf = append(buf, data...)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	sum := sha256.Sum256(buf)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:]), nil
 }

@@ -322,6 +322,24 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 	}
 }
 
+// TestKeyGolden pins one exact Key: keyed values persist in the disk
+// layer, so a rewrite of the key encoder must reproduce these bytes.
+func TestKeyGolden(t *testing.T) {
+	type params struct {
+		Name string
+		A, B float64
+		N    int
+	}
+	got, err := Key("gables-eval", "scope/v1", params{"chip", 0.25, 3e9, 16}, []int{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "094a06a42cc613fd21721c0bb3cb8bca3086c4a4d8412e659304683c4123a3f8"
+	if got != want {
+		t.Errorf("Key = %s, want %s", got, want)
+	}
+}
+
 // TestRunCachedMatchesDirect is the tentpole's correctness bar in unit
 // form: a cached run, a coalesced run, and a direct sim.Run must agree
 // bit for bit.

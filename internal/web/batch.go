@@ -1,7 +1,6 @@
 package web
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -140,15 +139,7 @@ func (s *server) batchHandler(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]batchItemResult, len(req.Items))
 	s.evaluateBatch(r.Context(), req, results, nil)
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(batchResponse{Items: results}); err != nil {
-		evalError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
+	writeJSON(w, http.StatusOK, batchResponse{Items: results})
 }
 
 // streamBatch answers the NDJSON shape: evaluation runs concurrently with

@@ -325,3 +325,57 @@ func TestBatchRequestErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactWireFormat pins the machine-facing encoding: /eval and
+// /eval/batch answer one compact JSON value ended by the only newline in
+// the body, and each batch item is byte-equal to the matching NDJSON line
+// of the same request, so the streaming and buffered shapes cannot drift.
+func TestCompactWireFormat(t *testing.T) {
+	srv := httptest.NewServer(Handler())
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/eval?backend=analytic&f=0.5&fpw=64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var point bytes.Buffer
+	if _, err := point.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	const req = `{"items":[
+		{"backend":"analytic","f":0.25,"fpw":512},
+		{"backend":"sim","chip":"snapdragon821","f":0.5,"fpw":8,"words":65536},
+		{"backend":"analytic","f":2},
+		{"backend":"analytic","chip":"snapdragon835x","f":0.375,"dsp":0.125,"serialized":true}
+	]}`
+	_, batch := postBatch(t, srv, "/eval/batch", req)
+	_, stream := postBatch(t, srv, "/eval/batch?stream=1", req)
+
+	for name, body := range map[string][]byte{"/eval": point.Bytes(), "/eval/batch": batch} {
+		if n := bytes.Count(body, []byte("\n")); n != 1 || !bytes.HasSuffix(body, []byte("\n")) {
+			t.Errorf("%s body has %d newlines, want exactly one at the end:\n%s", name, n, body)
+		}
+	}
+
+	var decoded struct {
+		Items []json.RawMessage `json:"items"`
+	}
+	if err := json.Unmarshal(batch, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(stream, []byte("\n")), []byte("\n"))
+	if len(decoded.Items) != 4 || len(lines) != 4 {
+		t.Fatalf("got %d batch items and %d NDJSON lines, want 4 each", len(decoded.Items), len(lines))
+	}
+	for i, item := range decoded.Items {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, item); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(compact.Bytes(), lines[i]) {
+			t.Errorf("item %d:\nbatch  %s\nstream %s", i, compact.Bytes(), lines[i])
+		}
+	}
+}

@@ -1,0 +1,76 @@
+package web
+
+import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+)
+
+// The serving benchmarks drive NewHandler in process with a warm cache,
+// so they time the web layer plus cache reads: request parsing, routing,
+// admission, fingerprinting and JSON encoding.
+
+var (
+	hotChips = []string{"snapdragon835", "snapdragon821", "snapdragon835x"}
+	hotFPWs  = []int{8, 64, 512}
+)
+
+// hotQuery is the i-th question of the hot mix: the three chip presets,
+// nine GPU fractions and three intensities, alternately asked of the
+// analytic and sim backends.
+func hotQuery(i int) (backend, chip string, f float64, fpw int) {
+	backend = "analytic"
+	if i%2 == 1 {
+		backend = "sim"
+	}
+	return backend, hotChips[i%3], float64(i%9) / 8, hotFPWs[(i/3)%3]
+}
+
+// serve runs one request through h and fails on a non-200 answer.
+func serve(b *testing.B, h http.Handler, req *http.Request) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		b.Fatalf("%s %s: status %d: %s", req.Method, req.URL, rec.Code, rec.Body)
+	}
+}
+
+// BenchmarkServeEval measures one warm GET /eval, cycling over 18 hot-mix
+// questions on both backends.
+func BenchmarkServeEval(b *testing.B) {
+	h := NewHandler(Options{})
+	paths := make([]string, 18)
+	for i := range paths {
+		backend, chip, f, fpw := hotQuery(i)
+		paths[i] = fmt.Sprintf("/eval?backend=%s&chip=%s&f=%g&fpw=%d", backend, chip, f, fpw)
+		serve(b, h, httptest.NewRequest(http.MethodGet, paths[i], nil))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(b, h, httptest.NewRequest(http.MethodGet, paths[i%len(paths)], nil))
+	}
+}
+
+// BenchmarkServeBatch measures one warm POST /eval/batch of 16 hot-mix
+// items, half analytic and half sim.
+func BenchmarkServeBatch(b *testing.B) {
+	h := NewHandler(Options{})
+	items := make([]string, 16)
+	for i := range items {
+		backend, chip, f, fpw := hotQuery(i)
+		items[i] = fmt.Sprintf(`{"backend":%q,"chip":%q,"f":%g,"fpw":%d}`, backend, chip, f, fpw)
+	}
+	body := `{"items":[` + strings.Join(items, ",") + `]}`
+	post := func() *http.Request {
+		return httptest.NewRequest(http.MethodPost, "/eval/batch", strings.NewReader(body))
+	}
+	serve(b, h, post())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(b, h, post())
+	}
+}

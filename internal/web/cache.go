@@ -1,7 +1,6 @@
 package web
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"github.com/gables-model/gables/internal/eval"
@@ -80,10 +79,5 @@ func (s *server) statsHandler(w http.ResponseWriter, r *http.Request) {
 		Surrogate surrogate.Stats   `json:"surrogate"`
 		Admission AdmissionStats    `json:"admission"`
 	}{Web: evalCache.Stats(), Sim: simcache.DefaultStats(), Eval: eval.CacheStats(), Trace: trace.Stats(), Surrogate: surrogate.DefaultStats(), Admission: s.adm.Stats()}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snapshot); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeJSON(w, http.StatusOK, snapshot)
 }

@@ -1,10 +1,11 @@
 package web
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
+	"strconv"
 
 	"github.com/gables-model/gables/internal/eval"
 	"github.com/gables-model/gables/internal/sim"
@@ -49,12 +50,13 @@ func (s *server) evalHandler(w http.ResponseWriter, r *http.Request) {
 		evalError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed on /eval (use GET; POST /eval/batch for arrays)", r.Method))
 		return
 	}
-	q, err := parseEvalQuery(r)
+	form := r.URL.Query()
+	q, err := parseEvalQuery(form)
 	if err != nil {
 		evalError(w, http.StatusBadRequest, err)
 		return
 	}
-	ev, err := resolveBackend(r.URL.Query().Get("backend"))
+	ev, err := resolveBackend(form.Get("backend"))
 	if err != nil {
 		evalError(w, http.StatusBadRequest, err)
 		return
@@ -69,19 +71,9 @@ func (s *server) evalHandler(w http.ResponseWriter, r *http.Request) {
 		evalError(w, http.StatusInternalServerError, err)
 		return
 	}
-	// Encode into a buffer first: an encoding failure after the first
-	// body byte would otherwise truncate a committed 200 response.
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(evalResponse{
+	writeJSON(w, http.StatusOK, evalResponse{
 		Chip: q.Chip.Name, Backend: o.Backend, Fingerprint: fp, Outcome: o,
-	}); err != nil {
-		evalError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
+	})
 }
 
 // resolveBackend maps a request's backend name to an evaluator: the
@@ -96,8 +88,7 @@ func resolveBackend(name string) (eval.Evaluator, error) {
 // parseEvalQuery builds the eval.Query from the request's query string;
 // all numeric fields go through the shared validated parsers (parse.go),
 // so NaN/Inf and non-positive counts are rejected with the field named.
-func parseEvalQuery(r *http.Request) (eval.Query, error) {
-	form := r.URL.Query()
+func parseEvalQuery(form url.Values) (eval.Query, error) {
 	spec := defaultEvalSpec()
 	spec.Chip = form.Get("chip")
 	spec.Serialized = form.Get("serialized") == "1"
@@ -128,7 +119,21 @@ func parseEvalQuery(r *http.Request) (eval.Query, error) {
 
 // evalError reports an /eval failure as JSON.
 func evalError(w http.ResponseWriter, status int, err error) {
+	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// writeJSON answers with v as one compact JSON value and a newline. The
+// body is encoded in full before anything is written: an encoding failure
+// after the first body byte would otherwise truncate a committed response.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		evalError(w, http.StatusInternalServerError, err) // a string map always encodes
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)+1))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	w.Write(body)
+	w.Write([]byte{'\n'})
 }
