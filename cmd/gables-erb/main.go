@@ -70,7 +70,7 @@ func main() {
 	calibDir := flag.String("calibration-dir", "", "persist surrogate calibration artifacts in this directory (default $"+surrogate.EnvDir+")")
 	flag.Parse()
 
-	if err := selectBackend(*backend); err != nil {
+	if err := eval.SetDefault(*backend); err != nil {
 		fmt.Fprintln(os.Stderr, "gables-erb:", err)
 		os.Exit(1)
 	}
@@ -123,19 +123,6 @@ func writeTraceArtifacts(session *trace.Session, traceFile string, metrics bool)
 		return session.WriteSummary(os.Stderr)
 	}
 	return nil
-}
-
-// selectBackend validates -backend at flag-parse time — a typo'd name
-// fails immediately with the allowed set, before any sweep has run — and
-// installs the valid, non-empty name as the process-default evaluator.
-func selectBackend(name string) error {
-	if err := eval.CheckBackend(name); err != nil {
-		return err
-	}
-	if name == "" {
-		return nil
-	}
-	return eval.SetDefault(name)
 }
 
 // chipConfig resolves the -chip flag to a simulated chip preset.

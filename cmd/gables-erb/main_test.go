@@ -90,18 +90,18 @@ func TestSelectBackend(t *testing.T) {
 	}()
 	valid := append([]string{""}, eval.Names()...)
 	for _, name := range valid {
-		if err := selectBackend(name); err != nil {
-			t.Errorf("selectBackend(%q) = %v, want nil", name, err)
+		if err := eval.SetDefault(name); err != nil {
+			t.Errorf("SetDefault(%q) = %v, want nil", name, err)
 		}
 	}
 	for _, name := range []string{"bogus", "SIM", "simulator"} {
-		err := selectBackend(name)
+		err := eval.SetDefault(name)
 		if err == nil {
-			t.Errorf("selectBackend(%q) accepted", name)
+			t.Errorf("SetDefault(%q) accepted", name)
 			continue
 		}
 		if !strings.Contains(err.Error(), "allowed:") || !strings.Contains(err.Error(), "surrogate") {
-			t.Errorf("selectBackend(%q) error %q does not list the allowed set", name, err)
+			t.Errorf("SetDefault(%q) error %q does not list the allowed set", name, err)
 		}
 	}
 }

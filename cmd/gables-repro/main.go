@@ -61,7 +61,7 @@ func main() {
 		}
 		return
 	}
-	if err := selectBackend(*backend); err != nil {
+	if err := eval.SetDefault(*backend); err != nil {
 		fmt.Fprintln(os.Stderr, "gables-repro:", err)
 		os.Exit(1)
 	}
@@ -86,19 +86,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gables-repro:", err)
 		os.Exit(1)
 	}
-}
-
-// selectBackend validates -backend at flag-parse time — a typo'd name
-// fails immediately with the allowed set, before any experiment has run —
-// and installs the valid, non-empty name as the process-default evaluator.
-func selectBackend(name string) error {
-	if err := eval.CheckBackend(name); err != nil {
-		return err
-	}
-	if name == "" {
-		return nil
-	}
-	return eval.SetDefault(name)
 }
 
 // writeTraceArtifacts exports the session's trace file and/or metrics

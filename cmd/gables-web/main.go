@@ -91,7 +91,7 @@ func main() {
 // the sim cache's disk layer from GABLES_CACHE_DIR — and returns the
 // handler options from the environment with the flag overrides applied.
 func configure(backend string, maxInFlight, queueDepth int) (web.Options, error) {
-	if err := selectBackend(backend); err != nil {
+	if err := eval.SetDefault(backend); err != nil {
 		return web.Options{}, err
 	}
 	simcache.EnableDiskFromEnv()
@@ -103,19 +103,6 @@ func configure(backend string, maxInFlight, queueDepth int) (web.Options, error)
 		opts.QueueDepth = queueDepth
 	}
 	return opts, nil
-}
-
-// selectBackend validates -backend at flag-parse time — a typo'd name
-// fails immediately with the allowed set, before the listeners come up —
-// and installs the valid, non-empty name as the process-default evaluator.
-func selectBackend(name string) error {
-	if err := eval.CheckBackend(name); err != nil {
-		return err
-	}
-	if name == "" {
-		return nil
-	}
-	return eval.SetDefault(name)
 }
 
 // newServer returns an http.Server with the hardening timeouts applied —

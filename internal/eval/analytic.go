@@ -20,15 +20,19 @@ import (
 //     from each link's bandwidth derated for the query's access pattern
 //     (writes cost WritePenalty×), Bpeak from the DRAM controller, and
 //     one §V-B bus per fabric.
-//   - NewAnalyticModel wraps an injected calibrated core.Model (e.g. one
-//     assembled by erb.DeriveGables from measured rooflines) whose IPs
-//     are matched to chip IPs by name.
+//   - NewAnalyticModel wraps an injected fitted or calibrated core.Model
+//     (one assembled by erb.DeriveGables from measured rooflines, or the
+//     surrogate backend's fit) whose IPs are matched to chip IPs by name.
+//     It is the one point-by-point evaluator of such models.
 //
-// Outcomes are memoized in the shared eval outcome cache, keyed by the
-// canonical query fingerprint plus the model parameters.
+// Configured-mode outcomes are memoized in the package outcome cache,
+// keyed by the query fingerprint. Injected-mode outcomes are computed on
+// every call: the fingerprint does not cover the model, and the
+// closed-form answer costs less than keying it would.
 type Analytic struct {
 	model   *core.Model
-	ipNames []string // model IP index → chip IP name (injected mode)
+	ipNames []string       // model IP index → chip IP name (injected mode)
+	index   map[string]int // chip IP name → model IP index (injected mode)
 }
 
 // NewAnalytic returns the configured-parameter analytic backend.
@@ -45,7 +49,11 @@ func NewAnalyticModel(m *core.Model, ipNames []string) (*Analytic, error) {
 	if len(ipNames) != len(m.SoC.IPs) {
 		return nil, fmt.Errorf("eval: model has %d IPs but %d names given", len(m.SoC.IPs), len(ipNames))
 	}
-	return &Analytic{model: m, ipNames: ipNames}, nil
+	index := make(map[string]int, len(ipNames))
+	for i, name := range ipNames {
+		index[name] = i
+	}
+	return &Analytic{model: m, ipNames: ipNames, index: index}, nil
 }
 
 // Meta implements Evaluator.
@@ -71,8 +79,8 @@ func (a *Analytic) Supports(q Query) error {
 		return fmt.Errorf("eval: analytic backend cannot represent thermal throttling")
 	}
 	if a.model != nil {
-		if _, err := a.modelWork(q); err != nil {
-			return err
+		if name, ok := a.unknownModelIP(q); ok {
+			return fmt.Errorf("eval: analytic model has no IP %q", name)
 		}
 	}
 	return nil
@@ -99,35 +107,28 @@ func effectiveLink(spec sim.IPSpec, p kernel.Pattern) float64 {
 }
 
 // modelWork maps the query's active work onto the injected model's IP
-// indices, returning a usecase work vector in model order.
-func (a *Analytic) modelWork(q Query) ([]core.Work, error) {
-	index := make(map[string]int, len(a.ipNames))
-	for i, name := range a.ipNames {
-		index[name] = i
-	}
+// indices, returning a usecase work vector in model order. Supports has
+// already checked that the model covers every active chip IP.
+func (a *Analytic) modelWork(q Query) []core.Work {
 	work := make([]core.Work, len(a.ipNames))
 	total := q.TotalFlops()
 	for i, w := range q.Work {
 		if w.Words == 0 {
 			continue
 		}
-		name := q.Chip.IPs[i].Name
-		mi, ok := index[name]
-		if !ok {
-			return nil, fmt.Errorf("eval: analytic model has no IP %q", name)
-		}
+		mi := a.index[q.Chip.IPs[i].Name]
 		flops := float64(w.Words) * float64(w.FlopsPerWord) * float64(q.trials())
 		work[mi] = core.Work{
 			Fraction:  flops / total,
 			Intensity: units.Intensity(float64(w.FlopsPerWord) / patternBytesPerWord(w.Pattern)),
 		}
 	}
-	return work, nil
+	return work
 }
 
 // derive builds the per-query model from the chip's configured
 // parameters, plus the work vector in chip IP order.
-func (a *Analytic) derive(q Query) (*core.Model, []core.Work, []string, error) {
+func (a *Analytic) derive(q Query) (*core.Model, []core.Work, []string) {
 	ref := q.Chip.IPs[0]
 	s := &core.SoC{
 		Name:            q.Chip.Name + "-analytic",
@@ -178,7 +179,7 @@ func (a *Analytic) derive(q Query) (*core.Model, []core.Work, []string, error) {
 			Intensity: units.Intensity(float64(w.FlopsPerWord) / patternBytesPerWord(w.Pattern)),
 		}
 	}
-	return m, work, names, nil
+	return m, work, names
 }
 
 // Evaluate implements Evaluator.
@@ -189,9 +190,12 @@ func (a *Analytic) Evaluate(ctx context.Context, q Query) (*Outcome, error) {
 	if err := a.Supports(q); err != nil {
 		return nil, err
 	}
-	key, keyErr := a.outcomeKey(q)
-	if keyErr != nil {
-		return a.evaluate(q) // unkeyable models bypass the cache
+	if a.model != nil {
+		return a.evaluate(q)
+	}
+	key, err := Fingerprint(q)
+	if err != nil {
+		return nil, err
 	}
 	o, err := outcomes.Get(key, func() (*Outcome, error) { return a.evaluate(q) })
 	if err != nil {
@@ -200,36 +204,19 @@ func (a *Analytic) Evaluate(ctx context.Context, q Query) (*Outcome, error) {
 	return o.Clone(), nil
 }
 
-// outcomeKey keys the outcome cache: the canonical query fingerprint plus
-// everything else that determines the analytic answer (the model
-// parameters, which the chip fingerprint does not cover in injected mode).
-func (a *Analytic) outcomeKey(q Query) (string, error) {
-	fp, err := Fingerprint(q)
-	if err != nil {
-		return "", err
-	}
-	if a.model == nil {
-		return Key("analytic-outcome/v1", fp, "configured")
-	}
-	return Key("analytic-outcome/v1", fp, a.model.SoC, a.model.SRAM, a.model.Buses, a.ipNames)
-}
-
 func (a *Analytic) evaluate(q Query) (*Outcome, error) {
 	model, work, names := a.model, []core.Work(nil), a.ipNames
-	var err error
 	if model == nil {
-		model, work, names, err = a.derive(q)
+		model, work, names = a.derive(q)
 	} else {
-		work, err = a.modelWork(q)
-	}
-	if err != nil {
-		return nil, err
+		work = a.modelWork(q)
 	}
 	// TotalOps stays unset: Attainable is scale-invariant and the
 	// unit-work normalization keeps results bitwise identical to the
 	// historical direct model evaluations; Makespan is rescaled below.
 	u := &core.Usecase{Name: "eval-query", Work: work}
 	var res *core.Result
+	var err error
 	if q.Serialized {
 		res, err = model.EvaluateSerialized(u)
 	} else {
@@ -319,14 +306,15 @@ func tieRatio(res *core.Result) float64 {
 	return second / first
 }
 
-// outcomes is the shared eval-layer outcome cache (the simcache
-// integration every analytic-fidelity backend memoizes through; the sim
-// backend's memoization happens one level down, in simcache.Run, where
-// raw results are shared with the measurement harnesses).
+// outcomes memoizes configured-mode analytic outcomes by query
+// fingerprint (the sim backend's memoization happens one level down, in
+// simcache.Run, where raw results are shared with the measurement
+// harnesses).
 var outcomes = simcache.New[*Outcome](simcache.Options{Capacity: 2048})
 
-// CacheStats snapshots the shared outcome cache's counters.
+// CacheStats snapshots the analytic outcome cache's counters.
 func CacheStats() simcache.Stats { return outcomes.Stats() }
 
-// ResetCache clears the shared outcome cache; tests use it for isolation.
+// ResetCache clears the analytic outcome cache; tests and benchmarks use
+// it for isolation.
 func ResetCache() { outcomes.Reset() }

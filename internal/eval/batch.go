@@ -103,10 +103,7 @@ func (a *Analytic) EvaluateBatch(ctx context.Context, qs []Query, out []Outcome)
 		for hi < len(qs) && sameDerivation(&qs[lo], &qs[hi]) {
 			hi++
 		}
-		model, _, names, err := a.derive(qs[lo])
-		if err != nil {
-			return fmt.Errorf("eval: batch query %d: %w", lo, err)
-		}
+		model, _, names := a.derive(qs[lo])
 		be, err := model.Batch()
 		if err != nil {
 			return fmt.Errorf("eval: batch query %d: %w", lo, err)
@@ -134,7 +131,8 @@ func (a *Analytic) batchInjected(qs []Query, out []Outcome, arena []IPOutcome) e
 	cs := core.NewCells(nIP, len(qs))
 	res := core.NewCellResults(nIP, len(qs))
 	if bad, ok := a.fillInjected(qs, cs); !ok {
-		return fmt.Errorf("eval: batch query %d: analytic model has no IP %q", bad, unknownModelIP(a.ipNames, qs[bad]))
+		name, _ := a.unknownModelIP(qs[bad])
+		return fmt.Errorf("eval: batch query %d: analytic model has no IP %q", bad, name)
 	}
 	if bad, ok := evalCells(qs, 0, len(qs), be, cs, res); !ok {
 		return fmt.Errorf("eval: batch query %d: invalid derived work vector", bad)
@@ -143,25 +141,19 @@ func (a *Analytic) batchInjected(qs []Query, out []Outcome, arena []IPOutcome) e
 	return nil
 }
 
-// unknownModelIP names the first active chip IP of q that the injected
-// model does not cover (the error-path mirror of fillInjected's scan).
-func unknownModelIP(ipNames []string, q Query) string {
+// unknownModelIP reports the first active chip IP of q that the injected
+// model does not cover (Supports' check, and the error-path mirror of
+// fillInjected's scan).
+func (a *Analytic) unknownModelIP(q Query) (string, bool) {
 	for i, w := range q.Work {
 		if w.Words == 0 {
 			continue
 		}
-		found := false
-		for _, n := range ipNames {
-			if n == q.Chip.IPs[i].Name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return q.Chip.IPs[i].Name
+		if _, ok := a.index[q.Chip.IPs[i].Name]; !ok {
+			return q.Chip.IPs[i].Name, true
 		}
 	}
-	return ""
+	return "", false
 }
 
 // sameDerivation reports whether two queries share every input of

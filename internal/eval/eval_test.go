@@ -209,6 +209,37 @@ func TestAnalyticInjectedModelMatchesDirectEvaluate(t *testing.T) {
 	}
 }
 
+// TestInjectedModelUncached pins that injected-mode answers bypass the
+// outcome cache: the query fingerprint does not cover the model, so the
+// closed form is computed on every call and the counters stay put.
+func TestInjectedModelUncached(t *testing.T) {
+	ResetCache()
+	t.Cleanup(ResetCache)
+	s, err := core.TwoIP("inj", units.GopsPerSec(10), units.GBPerSec(30), 20,
+		units.GBPerSec(15), units.GBPerSec(25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := core.New(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := NewAnalyticModel(model, []string{"CPU", "GPU"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := CacheStats()
+	q := twoIPQuery(t, 0.625, 32)
+	for i := 0; i < 2; i++ {
+		if _, err := ev.Evaluate(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := CacheStats(); after != before {
+		t.Errorf("injected-mode evaluations touched the outcome cache: %+v → %+v", before, after)
+	}
+}
+
 // TestAnalyticSerializedMatchesDirect covers the §V-C path the same way.
 func TestAnalyticSerializedMatchesDirect(t *testing.T) {
 	s, err := core.TwoIP("inj", units.GopsPerSec(10), units.GBPerSec(30), 20,
@@ -268,8 +299,8 @@ func TestAnalyticSupports(t *testing.T) {
 	}
 }
 
-// TestOutcomeCache pins the analytic backend's memoization through the
-// shared eval outcome cache.
+// TestOutcomeCache pins the configured-mode analytic backend's
+// memoization through the outcome cache.
 func TestOutcomeCache(t *testing.T) {
 	ResetCache()
 	t.Cleanup(ResetCache)
@@ -327,6 +358,12 @@ func TestRegistry(t *testing.T) {
 	})
 	if got := Default().Meta().Name; got != "auto" {
 		t.Errorf("default after SetDefault = %q, want auto", got)
+	}
+	if err := SetDefault(""); err != nil {
+		t.Fatal(err)
+	}
+	if got := Default().Meta().Name; got != "auto" {
+		t.Errorf("SetDefault(\"\") changed the default to %q, want it kept at auto", got)
 	}
 	names := Names()
 	if len(names) < 3 {

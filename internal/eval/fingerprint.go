@@ -49,9 +49,9 @@ func Fingerprint(q Query) (string, error) {
 	return string(out[:]), nil
 }
 
-// Key builds a content-addressed cache key under the eval namespace: the
-// one key-derivation scheme for every evaluation-layer cache (backend
-// outcome caches, the web page cache). scope
+// Key builds a content-addressed cache key under the eval namespace for
+// caches over values that have no hand-written fingerprint (the web page
+// cache; the analytic outcome cache keys by Fingerprint alone). scope
 // must be a versioned label like "web-two-ip/v1"; bump its version when
 // the keyed value's meaning changes.
 func Key(scope string, parts ...any) (string, error) {

@@ -69,12 +69,14 @@ func namesLocked() []string {
 	return out
 }
 
-// CheckBackend validates a backend name without constructing the backend:
-// the CLIs call it at flag-parse time so a typo'd -backend fails
-// immediately with the allowed set, instead of surfacing later as a
-// registry error mid-run. The empty name is valid (it means "keep the
-// process default").
-func CheckBackend(name string) error {
+// SetDefault selects the process-default backend (what Default returns
+// and what rethreaded harnesses use when not handed an explicit
+// evaluator). The initial default is "sim": measurement semantics, the
+// historical behavior of every harness path. The empty name keeps the
+// current default, so the CLIs pass their -backend flag straight through
+// at flag-parse time: a typo'd name fails immediately with the allowed
+// set, before any work has run.
+func SetDefault(name string) error {
 	if name == "" {
 		return nil
 	}
@@ -83,16 +85,6 @@ func CheckBackend(name string) error {
 	if _, ok := registry[name]; !ok {
 		return fmt.Errorf("eval: unknown backend %q (allowed: %s)", name, strings.Join(namesLocked(), ", "))
 	}
-	return nil
-}
-
-// SetDefault selects the process-default backend (what Default returns
-// and what rethreaded harnesses use when not handed an explicit
-// evaluator). The initial default is "sim": measurement semantics, the
-// historical behavior of every harness path.
-func SetDefault(name string) error {
-	registryMu.Lock()
-	defer registryMu.Unlock()
 	if _, err := resolveLocked(name); err != nil {
 		return err
 	}

@@ -103,3 +103,27 @@ func TestExplicitProbeBypassesCache(t *testing.T) {
 		t.Errorf("explicit-probe run must be reported as bypassed: got %+v, want Bypassed=1", s)
 	}
 }
+
+// TestWarmRunAllocs pins the untraced warm-hit cost: with no probe factory
+// installed, Run must not build the trace label. What remains is the
+// fingerprint string and the private result copy.
+func TestWarmRunAllocs(t *testing.T) {
+	ResetDefault()
+	t.Cleanup(ResetDefault)
+
+	cfg := sim.Snapdragon835()
+	as := []sim.Assignment{{IP: "GPU", Kernel: kernel.Kernel{
+		Name: "t", WorkingSet: 1 << 20, Trials: 2, FlopsPerWord: 32, Pattern: kernel.ReadWrite,
+	}}}
+	if _, err := Run(cfg, as, sim.RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Run(cfg, as, sim.RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("warm Run hit allocates %v times, want at most 3", allocs)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/gables-model/gables/internal/core"
 	"github.com/gables-model/gables/internal/eval"
@@ -160,13 +159,13 @@ type Artifact struct {
 // measurement.
 const DefaultTolerance = 0.15
 
-// Calibration is a loaded artifact plus the rebuilt fitted model and
-// lookup state the fast path evaluates with.
+// Calibration is a loaded artifact plus the analytic backend over the
+// rebuilt fitted model and the lookup state the fast path evaluates with.
 type Calibration struct {
 	Artifact
 	chip      sim.Config // the calibrated chip, for per-query identity checks
 	tolerance float64
-	model     *core.Model
+	analytic  *eval.Analytic // eval's injected-model mode over the fit
 	index     map[string]int // chip IP name → model index
 	maxFitRes float64
 	labels    []string // Table-aligned bucket labels, precomputed off the hot path
@@ -187,7 +186,9 @@ func newCalibration(a *Artifact, tolerance float64, complete bool) (*Calibration
 		MemoryBandwidth: units.BytesPerSec(a.Bpeak),
 		IPs:             make([]core.IP, len(a.IPs)),
 	}
+	names := make([]string, len(a.IPs))
 	for i, fit := range a.IPs {
+		names[i] = fit.Name
 		soc.IPs[i] = core.IP{
 			Name:         fit.Name,
 			Acceleration: fit.Peak / ref.Peak,
@@ -199,10 +200,14 @@ func newCalibration(a *Artifact, tolerance float64, complete bool) (*Calibration
 	if err != nil {
 		return nil, fmt.Errorf("surrogate: artifact %s: %w", a.Fingerprint, err)
 	}
+	analytic, err := eval.NewAnalyticModel(model, names)
+	if err != nil {
+		return nil, fmt.Errorf("surrogate: artifact %s: %w", a.Fingerprint, err)
+	}
 	c := &Calibration{
 		Artifact:  *a,
 		tolerance: tolerance,
-		model:     model,
+		analytic:  analytic,
 		index:     make(map[string]int, len(a.IPs)),
 	}
 	if c.tolerance <= 0 {
@@ -605,130 +610,41 @@ func (c *Calibration) Answer(q eval.Query) (*eval.Outcome, error) {
 	return c.answer(q, c.bucket(q))
 }
 
-// bytesPerWord mirrors the eval intensity convention (I = fpw/bpw): 4 for
-// read-only kernels, 8 for read+write and stream-copy.
-func bytesPerWord(p kernel.Pattern) float64 {
-	if p == kernel.ReadOnly {
-		return 4
-	}
-	return 8
-}
-
-// answer evaluates the fitted model; bi is the efficiency-bucket index
-// (-1 = uncorrected, for the calibration pass itself).
+// answer evaluates the fitted model through eval's injected-model analytic
+// backend; bi is the efficiency-bucket index (-1 = uncorrected, for the
+// calibration pass itself). The correction scales the attainable rate by
+// the bucket efficiency and stretches every per-IP time uniformly (the
+// calibration observes the aggregate slowdown, not its split).
 func (c *Calibration) answer(q eval.Query, bi int) (*eval.Outcome, error) {
-	trials := q.Trials
-	if trials <= 0 {
-		trials = eval.DefaultTrials
-	}
-	work := make([]core.Work, len(c.IPs))
-	total := 0.0
-	for _, w := range q.Work {
-		total += float64(w.Words) * float64(w.FlopsPerWord) * float64(trials)
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("surrogate: query assigns no work")
-	}
-	for i, w := range q.Work {
-		if w.Words == 0 {
-			continue
-		}
-		mi, ok := c.index[q.Chip.IPs[i].Name]
-		if !ok {
-			return nil, fmt.Errorf("surrogate: fitted model has no IP %q", q.Chip.IPs[i].Name)
-		}
-		work[mi] = core.Work{
-			Fraction:  float64(w.Words) * float64(w.FlopsPerWord) * float64(trials) / total,
-			Intensity: units.Intensity(float64(w.FlopsPerWord) / bytesPerWord(w.Pattern)),
-		}
-	}
-	u := &core.Usecase{Name: "surrogate-query", Work: work}
-	res, err := c.model.Evaluate(u)
+	o, err := c.analytic.Evaluate(context.Background(), q)
 	if err != nil {
 		return nil, err
 	}
-	eff := 1.0
-	if bi >= 0 {
-		eff = c.Table[bi].Efficiency
+	o.Backend = "surrogate"
+	if bi < 0 {
+		return o, nil
 	}
-	o := &eval.Outcome{
-		Backend:    "surrogate",
-		Fidelity:   eval.FidelityAnalytic,
-		Attainable: float64(res.Attainable) * eff,
-		TotalFlops: total,
-		Bottleneck: canonicalBottleneck(res.Bottleneck),
-		TieRatio:   tieRatio(res),
-	}
+	b := &c.Table[bi]
+	o.Attainable *= b.Efficiency
+	o.Makespan = 0
 	if o.Attainable > 0 {
-		o.Makespan = total / o.Attainable
+		o.Makespan = o.TotalFlops / o.Attainable
 	}
-	if bi >= 0 {
-		bound := c.Table[bi].Residual + c.maxFitRes
-		o.Confidence = &eval.Confidence{
-			RelErrBound: bound,
-			Lo:          o.Attainable * (1 - bound),
-			Hi:          o.Attainable * (1 + bound),
-			Bucket:      c.labels[bi],
-			Efficiency:  eff,
-		}
-	}
-	// Per-IP detail: the model's unit-work minimum times scaled to the
-	// query's total, with the efficiency correction applied uniformly
-	// (the calibration observes the aggregate slowdown, not its split).
-	for mi, br := range res.IPs {
-		if u.Work[mi].Fraction == 0 {
-			continue
-		}
-		ip := eval.IPOutcome{
-			IP:    c.IPs[mi].Name,
-			Flops: u.Work[mi].Fraction * total,
-			Bytes: float64(br.Data) * total,
-			Time:  float64(br.Time) * total / eff,
-		}
+	for i := range o.IPs {
+		ip := &o.IPs[i]
+		ip.Time /= b.Efficiency
+		ip.Rate = 0
 		if ip.Time > 0 {
 			ip.Rate = ip.Flops / ip.Time
 		}
-		o.IPs = append(o.IPs, ip)
+	}
+	bound := b.Residual + c.maxFitRes
+	o.Confidence = &eval.Confidence{
+		RelErrBound: bound,
+		Lo:          o.Attainable * (1 - bound),
+		Hi:          o.Attainable * (1 + bound),
+		Bucket:      c.labels[bi],
+		Efficiency:  b.Efficiency,
 	}
 	return o, nil
-}
-
-// canonicalBottleneck mirrors eval's cross-backend bottleneck vocabulary.
-func canonicalBottleneck(comp core.Component) eval.Bottleneck {
-	switch comp.Kind {
-	case "memory":
-		return eval.Bottleneck{Kind: "memory", Name: "DRAM"}
-	case "bus":
-		return eval.Bottleneck{Kind: "bus", Name: comp.Name}
-	default:
-		return eval.Bottleneck{Kind: "IP", Name: comp.Name}
-	}
-}
-
-// tieRatio mirrors eval's analytic tie measure: the second-tightest
-// constraint time over the tightest.
-func tieRatio(res *core.Result) float64 {
-	var times []float64
-	for _, br := range res.IPs {
-		if br.Time > 0 {
-			times = append(times, float64(br.Time))
-		}
-	}
-	if res.MemoryTime > 0 {
-		times = append(times, float64(res.MemoryTime))
-	}
-	for _, bt := range res.BusTimes {
-		if bt > 0 {
-			times = append(times, float64(bt))
-		}
-	}
-	if len(times) < 2 {
-		return 0
-	}
-	sort.Float64s(times)
-	first, second := times[len(times)-1], times[len(times)-2]
-	if first <= 0 {
-		return 0
-	}
-	return second / first
 }

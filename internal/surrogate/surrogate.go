@@ -4,9 +4,12 @@
 // fits effective Gables parameters — Ppeak, Bpeak, per-IP Bi — over the
 // sweep grid, and derives a residual-based efficiency table keyed by
 // kernel shape (operational-intensity bucket × work-split bucket).
-// Subsequent queries are answered from the fitted core.Model in closed
-// form, microseconds instead of the simulator's ~10 ms, each answer
-// carrying a confidence envelope derived from the calibration residuals.
+// Subsequent queries are answered in closed form, microseconds instead of
+// the simulator's ~10 ms: eval's injected-model analytic backend
+// (eval.NewAnalyticModel) evaluates the fitted core.Model — the same
+// Gables arithmetic every other closed-form answer uses — and the answer
+// is scaled by the query's efficiency bucket and carries a confidence
+// envelope derived from the calibration residuals.
 //
 // The envelope is honest: Supports on the fitted fast path reports exactly
 // the calibrated region (chip identity by fingerprint, calibrated IPs and

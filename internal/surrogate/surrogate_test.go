@@ -3,6 +3,8 @@ package surrogate
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -25,7 +27,13 @@ func testCalibration(t *testing.T) *Calibration {
 // twoIP builds the canonical in-envelope CPU/GPU split query.
 func twoIP(t testing.TB, f float64, fpw, words int) eval.Query {
 	t.Helper()
-	cfg := testChip()
+	return splitQuery(t, testChip(), f, fpw, words)
+}
+
+// splitQuery puts fraction f of the work on cfg's GPU and the rest on its
+// CPU.
+func splitQuery(t testing.TB, cfg sim.Config, f float64, fpw, words int) eval.Query {
+	t.Helper()
 	work, err := eval.SplitWork(cfg, words, fpw, kernel.ReadWrite, []eval.Share{
 		{IP: "CPU", Fraction: 1 - f}, {IP: "GPU", Fraction: f},
 	})
@@ -78,6 +86,76 @@ func TestCalibrationDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("re-fitting produced a different artifact:\n--- first\n%s\n--- second\n%s", a, b)
+	}
+}
+
+// TestAnswerGolden pins the fitted fast path bit for bit on both catalog
+// chips: the sha256 of the encoded calibration artifact, and one sha256
+// over the JSON of raw() at every point of a fixed CPU/GPU split grid plus
+// Answer() at the grid points inside the envelope. The digests were
+// captured before the fast path was routed through eval's injected-model
+// analytic backend; any drift in the shared closed-form arithmetic (or in
+// the efficiency correction on top of it) changes them.
+func TestAnswerGolden(t *testing.T) {
+	cases := []struct {
+		cfg        sim.Config
+		artifact   string
+		outcomes   string
+		inEnvelope int
+	}{
+		{sim.Snapdragon835(),
+			"ddd45ee272c87b2e495b67a173f0d7271931b318d05a0520b0063863471d8d55",
+			"93ae473e433e58c3111922a6cd19e23e4ef83ba3b6bce2c8f776b04213d989e1", 63},
+		{sim.Snapdragon821(),
+			"358e81e97e0846eea8d5fe8442be911663f1da3f7ed6d06f3fefc320cddf5e55",
+			"9646cfa0dd394cbdb3f6ed04c72a649587564b020057aad0942e22bd91117aff", 66},
+	}
+	for _, tc := range cases {
+		t.Run(tc.cfg.Name, func(t *testing.T) {
+			cal, err := Calibrate(context.Background(), tc.cfg, Plan{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := Encode(&cal.Artifact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); got != tc.artifact {
+				t.Errorf("artifact sha256 = %s, want %s", got, tc.artifact)
+			}
+
+			h := sha256.New()
+			in := 0
+			for _, words := range []int{4 << 20, 16 << 20} {
+				for _, fpw := range []int{1, 4, 16, 64, 256, 512, 1024} {
+					for _, f := range []float64{0, .1, .25, .5, .75, .9, 1} {
+						q := splitQuery(t, tc.cfg, f, fpw, words)
+						o, err := cal.raw(q)
+						if err != nil {
+							t.Fatalf("raw f=%v fpw=%d words=%d: %v", f, fpw, words, err)
+						}
+						j, _ := json.Marshal(o)
+						h.Write(j)
+						if cal.Check(q) != nil {
+							continue
+						}
+						in++
+						if o, err = cal.Answer(q); err != nil {
+							t.Fatalf("Answer f=%v fpw=%d words=%d: %v", f, fpw, words, err)
+						}
+						j, _ = json.Marshal(o)
+						h.Write(j)
+					}
+				}
+			}
+			if in != tc.inEnvelope {
+				t.Errorf("%d grid points inside the envelope, want %d", in, tc.inEnvelope)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.outcomes {
+				t.Errorf("outcome sha256 = %s, want %s", got, tc.outcomes)
+			}
+		})
 	}
 }
 
