@@ -47,8 +47,8 @@ type target struct {
 // grid, the coarse-to-fine sim grid, the simulation-result cache (cold vs
 // warm sweep grids), the surrogate backend (fitted fast path vs the
 // cold sim query it stands in for, plus the warm-cache re-calibration),
-// the run and query fingerprints, and the warm /eval and /eval/batch
-// handlers. Benchmark names must be unique across packages: records
+// the run and query fingerprints, the warm /eval and /eval/batch
+// handlers, and a cold /eval that simulates every request. Benchmark names must be unique across packages: records
 // match results by name alone.
 var suite = []target{
 	{Pkg: "./internal/sim/engine", Bench: ".", Tier1: true},
@@ -62,7 +62,7 @@ var suite = []target{
 	{Pkg: "./internal/surrogate", Bench: "BenchmarkSurrogateEvaluate$|BenchmarkSurrogateSimCold$|BenchmarkCalibrate$", Tier1: true},
 	{Pkg: "./internal/sim", Bench: "BenchmarkSimFingerprint$", Tier1: true},
 	{Pkg: "./internal/eval", Bench: "BenchmarkEvalFingerprint$", Tier1: true},
-	{Pkg: "./internal/web", Bench: "BenchmarkServeEval$|BenchmarkServeBatch$", Tier1: true},
+	{Pkg: "./internal/web", Bench: "BenchmarkServeEval$|BenchmarkServeEvalCold$|BenchmarkServeBatch$", Tier1: true},
 }
 
 // HarnessParallelFloor is the pinned minimum speedup of the parallel

@@ -80,11 +80,29 @@ func (c *Config) applyDefaults() {
 }
 
 // Validate checks the configuration, applying defaults to a local copy
-// first so zero-valued optional fields are legal.
+// first so zero-valued optional fields are legal. Every float field must be
+// finite.
 func (c Config) Validate() error {
 	c.applyDefaults()
 	if c.Name == "" {
 		return fmt.Errorf("ip: config with empty name")
+	}
+	for _, f := range [...]struct {
+		field string
+		v     float64
+	}{
+		{"ComputeRate", c.ComputeRate},
+		{"LinkBandwidth", c.LinkBandwidth},
+		{"WritePenalty", c.WritePenalty},
+		{"CacheSize", c.CacheSize},
+		{"CacheBandwidth", c.CacheBandwidth},
+		{"ChunkBytes", c.ChunkBytes},
+		{"CoordinationOpsPerByte", c.CoordinationOpsPerByte},
+		{"MemoryLatency", c.MemoryLatency},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("ip: %s: %s must be finite, got %v", c.Name, f.field, f.v)
+		}
 	}
 	if c.ComputeRate <= 0 {
 		return fmt.Errorf("ip: %s: compute rate must be positive", c.Name)
@@ -133,8 +151,9 @@ type IP struct {
 }
 
 // New instantiates the block on the engine. fabricPath lists the fabric
-// servers between the block's link and the DRAM controller (may be empty);
-// dram is the shared memory controller server.
+// servers between the block's link and the DRAM controller (may be empty;
+// the block only reads it, so it may be shared); dram is the shared memory
+// controller server.
 func New(eng *engine.Engine, cfg Config, fabricPath []*mem.Server, dram *mem.Server) (*IP, error) {
 	cfg.applyDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -146,17 +165,17 @@ func New(eng *engine.Engine, cfg Config, fabricPath []*mem.Server, dram *mem.Ser
 	if dram == nil {
 		return nil, fmt.Errorf("ip: %s: nil DRAM server", cfg.Name)
 	}
-	compute, err := mem.NewServer(eng, cfg.Name+":compute", cfg.ComputeRate)
+	compute, err := mem.NewServer(eng, cfg.Name, "compute", cfg.ComputeRate)
 	if err != nil {
 		return nil, err
 	}
-	link, err := mem.NewServer(eng, cfg.Name+":link", cfg.LinkBandwidth)
+	link, err := mem.NewServer(eng, cfg.Name, "link", cfg.LinkBandwidth)
 	if err != nil {
 		return nil, err
 	}
 	b := &IP{cfg: cfg, eng: eng, compute: compute, link: link, fabricPath: fabricPath, dram: dram}
 	if cfg.CacheSize > 0 {
-		b.cache, err = mem.NewCache(eng, cfg.Name+":cache", cfg.CacheSize, cfg.CacheBandwidth)
+		b.cache, err = mem.NewCache(eng, cfg.Name, cfg.CacheSize, cfg.CacheBandwidth)
 		if err != nil {
 			return nil, err
 		}
@@ -203,18 +222,6 @@ func (b *IP) SetFrequencyScale(s float64) error {
 	return b.compute.SetCapacity(b.cfg.ComputeRate * s)
 }
 
-// Reset clears progress counters and server accounting for a fresh
-// measurement on the same instantiated system.
-func (b *IP) Reset() {
-	b.flopsDone = 0
-	b.bytesMoved = 0
-	b.compute.Reset()
-	b.link.Reset()
-	if b.cache != nil {
-		b.cache.Server.Reset()
-	}
-}
-
 // chunk describes one pipelined unit of kernel work.
 type chunk struct {
 	read, write float64 // bytes
@@ -244,9 +251,9 @@ type runState struct {
 }
 
 // slot is one of the MaxInflight pipeline positions. Each slot owns a
-// reusable hops backing array and two pre-bound callbacks, so launching a
-// chunk in the steady state allocates nothing: the slot is recycled the
-// moment its previous chunk's data arrives.
+// fixed-capacity window of the run's hops array and two pre-bound
+// callbacks, so launching a chunk allocates nothing: the slot is recycled
+// the moment its previous chunk's data arrives.
 type slot struct {
 	rs   *runState
 	c    chunk
@@ -276,17 +283,21 @@ func (b *IP) RunKernel(k kernel.Kernel, host *mem.Server, done func()) error {
 		return fmt.Errorf("ip: %s: kernel %s produced no work", b.cfg.Name, k.Name)
 	}
 
-	rs := &runState{b: b, host: host, chunks: chunks, done: done}
-	rs.onComputed = rs.computed
 	inflight := b.cfg.MaxInflight
 	if inflight > len(chunks) {
 		inflight = len(chunks)
 	}
-	rs.slots = make([]slot, inflight)
+	rs := &runState{b: b, host: host, chunks: chunks, done: done,
+		flopsQ: make([]float64, 0, inflight), slots: make([]slot, inflight)}
+	rs.onComputed = rs.computed
+	// The longest chunk path is host, link, every fabric and DRAM.
+	perSlot := 3 + len(b.fabricPath)
+	hops := make([]mem.Hop, inflight*perSlot)
 	for i := range rs.slots {
 		sl := &rs.slots[i]
 		sl.rs = rs
 		sl.idx = i
+		sl.hops = hops[i*perSlot : i*perSlot : (i+1)*perSlot]
 		sl.onTransferDone = sl.transferDone
 		sl.onArrived = sl.arrived
 	}
@@ -376,7 +387,7 @@ func (rs *runState) pushFlops(f float64) {
 		rs.flopsQ = rs.flopsQ[:n]
 		rs.flopsHead = 0
 	}
-	//lint:ignore allocfree the compaction above reuses the backing array; capacity stops growing once it matches the pipeline depth (MaxInflight)
+	//lint:ignore allocfree the compaction above reuses the backing array, sized to the pipeline depth up front; it grows only while computation falls behind arrivals, and never shrinks
 	rs.flopsQ = append(rs.flopsQ, f)
 }
 

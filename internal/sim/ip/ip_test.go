@@ -2,6 +2,7 @@ package ip
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/gables-model/gables/internal/kernel"
@@ -19,7 +20,7 @@ type rig struct {
 func newRig(t *testing.T, cfg Config, dramBW float64) *rig {
 	t.Helper()
 	eng := engine.New()
-	dram, err := mem.NewServer(eng, "dram", dramBW)
+	dram, err := mem.NewServer(eng, "dram", "", dramBW)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func baseConfig() Config {
 
 func TestConfigValidation(t *testing.T) {
 	eng := engine.New()
-	dram, _ := mem.NewServer(eng, "dram", 30e9)
+	dram, _ := mem.NewServer(eng, "dram", "", 30e9)
 
 	cases := []func(*Config){
 		func(c *Config) { c.Name = "" },
@@ -162,8 +163,8 @@ func TestCacheResidentBandwidthLift(t *testing.T) {
 
 func TestCoordinationThrottlesOffload(t *testing.T) {
 	eng := engine.New()
-	dram, _ := mem.NewServer(eng, "dram", 30e9)
-	host, _ := mem.NewServer(eng, "host:compute", 7.5e9)
+	dram, _ := mem.NewServer(eng, "dram", "", 30e9)
+	host, _ := mem.NewServer(eng, "host", "compute", 7.5e9)
 	cfg := Config{
 		Name:                   "gpu",
 		ComputeRate:            350e9,
@@ -204,8 +205,13 @@ func TestRunKernelValidation(t *testing.T) {
 	}
 }
 
+// TestAccountingAndReset checks a block accounts exactly the kernel's work,
+// and that each fresh block — every run builds its own — starts from zero.
 func TestAccountingAndReset(t *testing.T) {
 	r := newRig(t, baseConfig(), 30e9)
+	if r.blk.OpsDone() != 0 || r.blk.BytesMoved() != 0 {
+		t.Error("a fresh block must start with zero counters")
+	}
 	k := kernel.Kernel{Name: "k", WorkingSet: 1 << 20, Trials: 2,
 		FlopsPerWord: 4, Pattern: kernel.ReadWrite}
 	r.run(t, k, nil)
@@ -215,9 +221,11 @@ func TestAccountingAndReset(t *testing.T) {
 	if r.blk.BytesMoved() != float64(k.TotalTraffic()) {
 		t.Errorf("bytes = %v, want %v", r.blk.BytesMoved(), float64(k.TotalTraffic()))
 	}
-	r.blk.Reset()
-	if r.blk.OpsDone() != 0 || r.blk.BytesMoved() != 0 {
-		t.Error("reset must clear counters")
+	again := newRig(t, baseConfig(), 30e9)
+	again.run(t, k, nil)
+	if again.blk.OpsDone() != r.blk.OpsDone() || again.blk.BytesMoved() != r.blk.BytesMoved() {
+		t.Errorf("a rebuilt block accounts %v/%v, want %v/%v",
+			again.blk.OpsDone(), again.blk.BytesMoved(), r.blk.OpsDone(), r.blk.BytesMoved())
 	}
 }
 
@@ -308,11 +316,44 @@ func TestMemoryLatencySkipsCacheHits(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNonFinite: every float field must be finite, and the
+// error names the field. NaN slips past sign checks and +Inf past
+// positivity, so each needs its own test.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		field string
+		set   func(*Config, float64)
+	}{
+		{"ComputeRate", func(c *Config, v float64) { c.ComputeRate = v }},
+		{"LinkBandwidth", func(c *Config, v float64) { c.LinkBandwidth = v }},
+		{"WritePenalty", func(c *Config, v float64) { c.WritePenalty = v }},
+		{"CacheSize", func(c *Config, v float64) { c.CacheSize = v }},
+		{"CacheBandwidth", func(c *Config, v float64) { c.CacheSize = 1 << 20; c.CacheBandwidth = v }},
+		{"ChunkBytes", func(c *Config, v float64) { c.ChunkBytes = v }},
+		{"CoordinationOpsPerByte", func(c *Config, v float64) { c.CoordinationOpsPerByte = v }},
+		{"MemoryLatency", func(c *Config, v float64) { c.MemoryLatency = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := baseConfig()
+			f.set(&cfg, v)
+			err := cfg.Validate()
+			if err == nil {
+				t.Errorf("%s = %v must be rejected", f.field, v)
+				continue
+			}
+			if !strings.Contains(err.Error(), f.field) {
+				t.Errorf("%s = %v: error %q does not name the field", f.field, v, err)
+			}
+		}
+	}
+}
+
 func TestMemoryLatencyValidation(t *testing.T) {
 	cfg := baseConfig()
 	cfg.MemoryLatency = -1
 	eng := engine.New()
-	dram, _ := mem.NewServer(eng, "dram", 30e9)
+	dram, _ := mem.NewServer(eng, "dram", "", 30e9)
 	if _, err := New(eng, cfg, nil, dram); err == nil {
 		t.Error("negative latency must be rejected")
 	}

@@ -10,7 +10,7 @@ import (
 // busy server: the self-refilling pattern keeps the ring buffer occupied.
 func BenchmarkServerThroughput(b *testing.B) {
 	eng := engine.New()
-	s, err := NewServer(eng, "dram", 1e12)
+	s, err := NewServer(eng, "dram", "", 1e12)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,15 +38,15 @@ func BenchmarkServerThroughput(b *testing.B) {
 // (link → fabric → dram), the simulator's hot path, end to end.
 func BenchmarkTransferPipeline(b *testing.B) {
 	eng := engine.New()
-	link, err := NewServer(eng, "link", 20e9)
+	link, err := NewServer(eng, "link", "", 20e9)
 	if err != nil {
 		b.Fatal(err)
 	}
-	fabric, err := NewServer(eng, "fabric", 28e9)
+	fabric, err := NewServer(eng, "fabric", "", 28e9)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dram, err := NewServer(eng, "dram", 30e9)
+	dram, err := NewServer(eng, "dram", "", 30e9)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func BenchmarkTransferPipeline(b *testing.B) {
 // engine event per busy period.
 func BenchmarkServerCoalesced(b *testing.B) {
 	eng := engine.New()
-	s, err := NewServer(eng, "compute", 1e12)
+	s, err := NewServer(eng, "compute", "", 1e12)
 	if err != nil {
 		b.Fatal(err)
 	}

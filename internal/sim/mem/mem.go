@@ -31,9 +31,14 @@ import (
 // *starts*, so capacity changes (DVFS throttling) apply to queued work, not
 // only to work admitted later.
 type Server struct {
-	name     string
-	eng      *engine.Engine
-	capacity float64 // units per second
+	// owner and role make up the label, "owner:role" ("CPU:compute",
+	// "fabric:system"), or owner alone when role is empty ("dram"). name
+	// joins them on first use — errors and probes — so building a server
+	// allocates no string.
+	owner, role string
+	name        string
+	eng         *engine.Engine
+	capacity    float64 // units per second
 
 	// buf is an index-based ring buffer: head is the next request to
 	// service, count the number queued. Growing copies into a larger
@@ -62,21 +67,30 @@ type request struct {
 	done   func()
 }
 
-// NewServer creates a server with the given capacity in units/second.
-func NewServer(eng *engine.Engine, name string, capacity float64) (*Server, error) {
+// NewServer creates a server with the given capacity in units/second,
+// labelled "owner:role", or owner alone when role is empty.
+func NewServer(eng *engine.Engine, owner, role string, capacity float64) (*Server, error) {
+	s := &Server{owner: owner, role: role, eng: eng, capacity: capacity}
 	if eng == nil {
-		return nil, fmt.Errorf("mem: server %q: nil engine", name)
+		return nil, fmt.Errorf("mem: server %q: nil engine", s.Name())
 	}
 	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
-		return nil, fmt.Errorf("mem: server %q: capacity must be positive and finite, got %v", name, capacity)
+		return nil, fmt.Errorf("mem: server %q: capacity must be positive and finite, got %v", s.Name(), capacity)
 	}
-	s := &Server{name: name, eng: eng, capacity: capacity}
 	s.onServiced = s.serviced
 	return s, nil
 }
 
-// Name returns the server's label.
-func (s *Server) Name() string { return s.name }
+// Name returns the server's label, joining it on the first call.
+func (s *Server) Name() string {
+	if s.name == "" {
+		s.name = s.owner
+		if s.role != "" {
+			s.name = s.owner + ":" + s.role
+		}
+	}
+	return s.name
+}
 
 // Now returns the engine's current simulated time (for observers that hold
 // a server but not its engine, like an in-flight transfer).
@@ -95,7 +109,7 @@ func (s *Server) Capacity() float64 { return s.capacity }
 // keeps its original timing.
 func (s *Server) SetCapacity(c float64) error {
 	if c <= 0 || math.IsNaN(c) || math.IsInf(c, 0) {
-		return fmt.Errorf("mem: server %q: capacity must be positive and finite, got %v", s.name, c)
+		return fmt.Errorf("mem: server %q: capacity must be positive and finite, got %v", s.Name(), c)
 	}
 	s.capacity = c
 	return nil
@@ -120,15 +134,15 @@ func (s *Server) SetCoalescing(on bool) { s.coalesce = on }
 func (s *Server) Request(amount float64, done func()) error {
 	if amount < 0 || math.IsNaN(amount) || math.IsInf(amount, 0) {
 		//lint:ignore allocfree cold validation branch; chained transfers pre-validate every hop, so the steady state never takes it
-		return fmt.Errorf("mem: server %q: amount must be non-negative and finite, got %v", s.name, amount)
+		return fmt.Errorf("mem: server %q: amount must be non-negative and finite, got %v", s.Name(), amount)
 	}
 	if done == nil {
 		//lint:ignore allocfree cold validation branch; chained transfers pre-validate every hop, so the steady state never takes it
-		return fmt.Errorf("mem: server %q: nil completion", s.name)
+		return fmt.Errorf("mem: server %q: nil completion", s.Name())
 	}
 	s.push(request{amount: amount, done: done})
 	if s.probe != nil {
-		s.probe.Enqueued(s.name, float64(s.eng.Now()), amount, s.count)
+		s.probe.Enqueued(s.Name(), float64(s.eng.Now()), amount, s.count)
 	}
 	if !s.active {
 		s.startNext()
@@ -198,7 +212,7 @@ func (s *Server) startNext() {
 			// Per-request windows, with or without coalescing: the
 			// window arithmetic below is unchanged either way, so the
 			// observed busy windows are identical too.
-			s.probe.ServiceStart(s.name, float64(at), float64(service), r.amount, s.count)
+			s.probe.ServiceStart(s.Name(), float64(at), float64(service), r.amount, s.count)
 		}
 		at += service
 		s.busy += float64(service)
@@ -210,7 +224,7 @@ func (s *Server) startNext() {
 	// failure here is a programming error.
 	if err := s.eng.Schedule(at, s.onServiced); err != nil {
 		//lint:ignore allocfree unreachable programming-error path; boxing on the way to a panic does not touch the steady state
-		panic(fmt.Sprintf("mem: server %q: %v", s.name, err))
+		panic(fmt.Sprintf("mem: server %q: %v", s.Name(), err))
 	}
 }
 
@@ -244,14 +258,6 @@ func (s *Server) Utilization(horizon engine.Time) float64 {
 		return 0
 	}
 	return s.busy / float64(horizon)
-}
-
-// Reset clears accounting for back-to-back measurement runs on one system.
-// It must only be called while the server is idle; resetting with queued
-// work would orphan the queue's completions.
-func (s *Server) Reset() {
-	s.busy = 0
-	s.served = 0
 }
 
 // Hop is one stage of a transfer path: a server and the amount of service
@@ -380,12 +386,13 @@ type Cache struct {
 	Server *Server
 }
 
-// NewCache builds a cache with the given size and hit bandwidth.
-func NewCache(eng *engine.Engine, name string, size, hitBandwidth float64) (*Cache, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("mem: cache %q: size must be positive, got %v", name, size)
+// NewCache builds a cache with the given size and hit bandwidth; its
+// server is labelled "owner:cache".
+func NewCache(eng *engine.Engine, owner string, size, hitBandwidth float64) (*Cache, error) {
+	if size <= 0 || math.IsNaN(size) || math.IsInf(size, 0) {
+		return nil, fmt.Errorf("mem: cache %q: size must be positive and finite, got %v", owner, size)
 	}
-	srv, err := NewServer(eng, name, hitBandwidth)
+	srv, err := NewServer(eng, owner, "cache", hitBandwidth)
 	if err != nil {
 		return nil, err
 	}

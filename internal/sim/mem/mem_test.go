@@ -9,7 +9,7 @@ import (
 
 func server(t *testing.T, eng *engine.Engine, name string, cap float64) *Server {
 	t.Helper()
-	s, err := NewServer(eng, name, cap)
+	s, err := NewServer(eng, name, "", cap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,13 +18,13 @@ func server(t *testing.T, eng *engine.Engine, name string, cap float64) *Server 
 
 func TestServerValidation(t *testing.T) {
 	eng := engine.New()
-	if _, err := NewServer(nil, "x", 1); err == nil {
+	if _, err := NewServer(nil, "x", "", 1); err == nil {
 		t.Error("nil engine must be rejected")
 	}
-	if _, err := NewServer(eng, "x", 0); err == nil {
+	if _, err := NewServer(eng, "x", "", 0); err == nil {
 		t.Error("zero capacity must be rejected")
 	}
-	if _, err := NewServer(eng, "x", math.Inf(1)); err == nil {
+	if _, err := NewServer(eng, "x", "", math.Inf(1)); err == nil {
 		t.Error("infinite capacity must be rejected")
 	}
 	s := server(t, eng, "x", 10)
@@ -153,33 +153,6 @@ func TestZeroAmountRequest(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	eng := engine.New()
-	s := server(t, eng, "x", 10)
-	if err := s.Request(100, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	s.Reset()
-	if s.Served() != 0 || s.BusyTime() != 0 {
-		t.Error("reset must clear accounting")
-	}
-	// After reset the server is immediately available.
-	var doneAt engine.Time
-	start := eng.Now()
-	if err := s.Request(10, func() { doneAt = eng.Now() }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(doneAt-start)-1) > 1e-12 {
-		t.Errorf("post-reset service took %v, want 1", doneAt-start)
-	}
-}
-
 // TestRingWraparound cycles far more requests through the server than the
 // ring's initial capacity, refilling from completions so head and tail
 // wrap repeatedly, and asserts strict FIFO completion order and exact
@@ -268,8 +241,8 @@ func TestRingGrowWithWrappedHead(t *testing.T) {
 // TestInterleavedRequestSetCapacityReset drives the documented contract
 // through the ring buffer: capacity changes apply to every service that
 // starts afterwards (queued work included, the in-flight request keeps its
-// timing), and an idle Reset clears accounting without corrupting the
-// queue state for the next run.
+// timing), and a drained ring resets to idle, so the next request starts
+// at once and accounting keeps accumulating.
 func TestInterleavedRequestSetCapacityReset(t *testing.T) {
 	eng := engine.New()
 	s := server(t, eng, "dvfs", 10)
@@ -305,11 +278,7 @@ func TestInterleavedRequestSetCapacityReset(t *testing.T) {
 		t.Errorf("busy = %v, want 5", s.BusyTime())
 	}
 
-	// Idle now: Reset and immediately reuse through the same ring.
-	s.Reset()
-	if s.Served() != 0 || s.BusyTime() != 0 {
-		t.Fatal("reset must clear accounting")
-	}
+	// Idle now: the next request reuses the same ring and starts at once.
 	var doneAt engine.Time
 	start := eng.Now()
 	if err := s.Request(5, func() { doneAt = eng.Now() }); err != nil {
@@ -319,7 +288,10 @@ func TestInterleavedRequestSetCapacityReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Abs(float64(doneAt-start)-1) > 1e-12 {
-		t.Errorf("post-reset service took %v, want 1 (5 units at capacity 5)", doneAt-start)
+		t.Errorf("post-drain service took %v, want 1 (5 units at capacity 5)", doneAt-start)
+	}
+	if s.Served() != 35 || math.Abs(s.BusyTime()-6) > 1e-12 {
+		t.Errorf("served %v busy %v, want 35 and 6", s.Served(), s.BusyTime())
 	}
 }
 
@@ -465,5 +437,29 @@ func TestCache(t *testing.T) {
 	}
 	if _, err := NewCache(eng, "bad", 1, 0); err == nil {
 		t.Error("zero bandwidth must be rejected")
+	}
+	if _, err := NewCache(eng, "bad", math.NaN(), 1); err == nil {
+		t.Error("NaN size must be rejected")
+	}
+	if got := c.Server.Name(); got != "l2:cache" {
+		t.Errorf("cache server label = %q, want l2:cache", got)
+	}
+}
+
+// TestServerLabel checks the owner:role label the trace names servers by.
+func TestServerLabel(t *testing.T) {
+	eng := engine.New()
+	for _, tc := range []struct{ owner, role, want string }{
+		{"CPU", "compute", "CPU:compute"},
+		{"fabric", "system", "fabric:system"},
+		{"dram", "", "dram"},
+	} {
+		s, err := NewServer(eng, tc.owner, tc.role, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Name(); got != tc.want {
+			t.Errorf("NewServer(%q, %q).Name() = %q, want %q", tc.owner, tc.role, got, tc.want)
+		}
 	}
 }

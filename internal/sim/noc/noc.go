@@ -8,6 +8,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/gables-model/gables/internal/sim/engine"
 	"github.com/gables-model/gables/internal/sim/mem"
@@ -25,36 +26,94 @@ type FabricSpec struct {
 	Parent string
 }
 
-// Topology is an instantiated fabric tree.
-type Topology struct {
-	servers map[string]*mem.Server
-	parents map[string]string
-}
-
-// Build instantiates the fabric tree on the engine, validating that parents
-// exist and the hierarchy is acyclic.
-func Build(eng *engine.Engine, specs []FabricSpec) (*Topology, error) {
-	t := &Topology{
-		servers: make(map[string]*mem.Server, len(specs)),
-		parents: make(map[string]string, len(specs)),
+// Validate checks the fabric declarations without building anything:
+// every fabric needs a unique non-empty name and a positive, finite
+// bandwidth, every parent must be declared, and the hierarchy must be
+// acyclic.
+func Validate(specs []FabricSpec) error {
+	for i, s := range specs {
+		if s.Name == "" {
+			return fmt.Errorf("noc: fabric with empty name")
+		}
+		if index(specs[:i], s.Name) >= 0 {
+			return fmt.Errorf("noc: duplicate fabric %q", s.Name)
+		}
+		if !(s.Bandwidth > 0) || math.IsInf(s.Bandwidth, 1) {
+			return fmt.Errorf("noc: fabric %q: bandwidth must be positive and finite, got %v", s.Name, s.Bandwidth)
+		}
 	}
 	for _, s := range specs {
-		if s.Name == "" {
-			return nil, fmt.Errorf("noc: fabric with empty name")
+		if _, err := depth(specs, s); err != nil {
+			return err
 		}
-		if _, dup := t.servers[s.Name]; dup {
-			return nil, fmt.Errorf("noc: duplicate fabric %q", s.Name)
+	}
+	return nil
+}
+
+// index returns the position of the named fabric, or -1.
+func index(specs []FabricSpec, name string) int {
+	for i, s := range specs {
+		if s.Name == name {
+			return i
 		}
-		srv, err := mem.NewServer(eng, "fabric:"+s.Name, s.Bandwidth)
+	}
+	return -1
+}
+
+// depth counts the fabrics from s to memory, s included. A walk longer
+// than the declaration list must revisit a fabric: a cycle.
+func depth(specs []FabricSpec, s FabricSpec) (int, error) {
+	n := 1
+	for cur := s.Parent; cur != ""; n++ {
+		if n > len(specs) {
+			return 0, fmt.Errorf("noc: fabric cycle through %q", s.Name)
+		}
+		j := index(specs, cur)
+		if j < 0 {
+			return 0, fmt.Errorf("noc: fabric %q: unknown parent %q", s.Name, cur)
+		}
+		cur = specs[j].Parent
+	}
+	return n, nil
+}
+
+// Topology is an instantiated fabric tree: for each declared fabric, its
+// path to memory. paths[i][0] is fabric i's own server, and the paths share
+// one backing array.
+type Topology struct {
+	specs []FabricSpec
+	paths [][]*mem.Server
+}
+
+// Build validates the declarations and instantiates the fabric tree on the
+// engine, computing every fabric's path to memory once.
+func Build(eng *engine.Engine, specs []FabricSpec) (*Topology, error) {
+	if err := Validate(specs); err != nil {
+		return nil, err
+	}
+	// Validate has walked every chain, so depth cannot fail below.
+	t := &Topology{specs: specs, paths: make([][]*mem.Server, len(specs))}
+	total := 0
+	for _, s := range specs {
+		n, _ := depth(specs, s)
+		total += n
+	}
+	backing := make([]*mem.Server, total)
+	for i, s := range specs {
+		n, _ := depth(specs, s)
+		t.paths[i], backing = backing[:n:n], backing[n:]
+		srv, err := mem.NewServer(eng, "fabric", s.Name, s.Bandwidth)
 		if err != nil {
 			return nil, err
 		}
-		t.servers[s.Name] = srv
-		t.parents[s.Name] = s.Parent
+		t.paths[i][0] = srv
 	}
-	for name := range t.servers {
-		if _, err := t.Path(name); err != nil {
-			return nil, err
+	for i, s := range specs {
+		k := 1
+		for cur := s.Parent; cur != ""; k++ {
+			j := index(specs, cur)
+			t.paths[i][k] = t.paths[j][0]
+			cur = specs[j].Parent
 		}
 	}
 	return t, nil
@@ -62,56 +121,23 @@ func Build(eng *engine.Engine, specs []FabricSpec) (*Topology, error) {
 
 // Path returns the fabric servers from the named fabric to the memory
 // controller, in traversal order. An empty name returns an empty path (an
-// IP attached directly to memory).
+// IP attached directly to memory). The path is shared: callers must not
+// modify it.
 func (t *Topology) Path(name string) ([]*mem.Server, error) {
 	if name == "" {
 		return nil, nil
 	}
-	var path []*mem.Server
-	seen := make(map[string]bool)
-	for cur := name; cur != ""; cur = t.parents[cur] {
-		if seen[cur] {
-			return nil, fmt.Errorf("noc: fabric cycle through %q", cur)
-		}
-		seen[cur] = true
-		srv, ok := t.servers[cur]
-		if !ok {
-			return nil, fmt.Errorf("noc: unknown fabric %q", cur)
-		}
-		path = append(path, srv)
-	}
-	return path, nil
-}
-
-// Server returns the named fabric's server, for instrumentation.
-func (t *Topology) Server(name string) (*mem.Server, error) {
-	srv, ok := t.servers[name]
-	if !ok {
+	i := index(t.specs, name)
+	if i < 0 {
 		return nil, fmt.Errorf("noc: unknown fabric %q", name)
 	}
-	return srv, nil
-}
-
-// Names returns all fabric names (unordered).
-func (t *Topology) Names() []string {
-	out := make([]string, 0, len(t.servers))
-	for n := range t.servers {
-		out = append(out, n)
-	}
-	return out
+	return t.paths[i], nil
 }
 
 // SetProbe attaches (or, with nil, detaches) an observe-only trace probe
 // to every fabric server.
 func (t *Topology) SetProbe(p trace.Probe) {
-	for _, s := range t.servers {
-		s.SetProbe(p)
-	}
-}
-
-// Reset clears accounting on every fabric server.
-func (t *Topology) Reset() {
-	for _, s := range t.servers {
-		s.Reset()
+	for _, path := range t.paths {
+		path[0].SetProbe(p)
 	}
 }

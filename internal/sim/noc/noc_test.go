@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math"
 	"testing"
 
 	"github.com/gables-model/gables/internal/sim/engine"
@@ -30,6 +31,13 @@ func TestBuildAndPath(t *testing.T) {
 	if path[0].Name() != "fabric:peri" || path[2].Name() != "fabric:hb" {
 		t.Errorf("path order wrong: %s .. %s", path[0].Name(), path[2].Name())
 	}
+	sys, err := topo.Path("sys")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sys) != 2 || sys[0] != path[1] || sys[1] != path[2] {
+		t.Error("paths must share one server per fabric")
+	}
 
 	empty, err := topo.Path("")
 	if err != nil || empty != nil {
@@ -42,60 +50,39 @@ func TestBuildAndPath(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	eng := engine.New()
-	if _, err := Build(eng, []FabricSpec{{Name: "", Bandwidth: 1}}); err == nil {
-		t.Error("empty name must be rejected")
+	cases := []struct {
+		name  string
+		specs []FabricSpec
+	}{
+		{"empty name", []FabricSpec{{Name: "", Bandwidth: 1}}},
+		{"duplicate", []FabricSpec{{Name: "a", Bandwidth: 1}, {Name: "a", Bandwidth: 1}}},
+		{"zero bandwidth", []FabricSpec{{Name: "a", Bandwidth: 0}}},
+		{"NaN bandwidth", []FabricSpec{{Name: "a", Bandwidth: math.NaN()}}},
+		{"infinite bandwidth", []FabricSpec{{Name: "a", Bandwidth: math.Inf(1)}}},
+		{"unknown parent", []FabricSpec{{Name: "a", Bandwidth: 1, Parent: "ghost"}}},
+		{"self cycle", []FabricSpec{{Name: "a", Bandwidth: 1, Parent: "a"}}},
+		{"two-fabric cycle", []FabricSpec{
+			{Name: "a", Bandwidth: 1, Parent: "b"},
+			{Name: "b", Bandwidth: 1, Parent: "a"},
+		}},
+		{"cycle above a valid fabric", []FabricSpec{
+			{Name: "leaf", Bandwidth: 1, Parent: "a"},
+			{Name: "a", Bandwidth: 1, Parent: "b"},
+			{Name: "b", Bandwidth: 1, Parent: "a"},
+		}},
 	}
-	if _, err := Build(eng, []FabricSpec{{Name: "a", Bandwidth: 1}, {Name: "a", Bandwidth: 1}}); err == nil {
-		t.Error("duplicate must be rejected")
+	for _, tc := range cases {
+		if err := Validate(tc.specs); err == nil {
+			t.Errorf("Validate: %s must be rejected", tc.name)
+		}
+		if _, err := Build(engine.New(), tc.specs); err == nil {
+			t.Errorf("Build: %s must be rejected", tc.name)
+		}
 	}
-	if _, err := Build(eng, []FabricSpec{{Name: "a", Bandwidth: 0}}); err == nil {
-		t.Error("zero bandwidth must be rejected")
+	if err := Validate(specs()); err != nil {
+		t.Errorf("valid tree rejected: %v", err)
 	}
-	if _, err := Build(eng, []FabricSpec{{Name: "a", Bandwidth: 1, Parent: "ghost"}}); err == nil {
-		t.Error("unknown parent must be rejected")
-	}
-	cyc := []FabricSpec{
-		{Name: "a", Bandwidth: 1, Parent: "b"},
-		{Name: "b", Bandwidth: 1, Parent: "a"},
-	}
-	if _, err := Build(eng, cyc); err == nil {
-		t.Error("cycle must be rejected")
-	}
-}
-
-func TestServerLookupAndNames(t *testing.T) {
-	topo, err := Build(engine.New(), specs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := topo.Server("mm")
-	if err != nil || s.Name() != "fabric:mm" {
-		t.Errorf("Server lookup: %v, %v", s, err)
-	}
-	if _, err := topo.Server("nope"); err == nil {
-		t.Error("unknown server must be an error")
-	}
-	if got := len(topo.Names()); got != 4 {
-		t.Errorf("Names len = %d, want 4", got)
-	}
-}
-
-func TestReset(t *testing.T) {
-	eng := engine.New()
-	topo, err := Build(eng, specs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := topo.Server("hb")
-	if err := s.Request(1e6, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	topo.Reset()
-	if s.Served() != 0 {
-		t.Error("reset must clear fabric accounting")
+	if err := Validate(nil); err != nil {
+		t.Errorf("no fabrics rejected: %v", err)
 	}
 }

@@ -5,13 +5,16 @@
 // executes micro-benchmark assignments concurrently, reporting per-IP
 // achieved compute and bandwidth plus the whole-run makespan.
 //
-// Each Run builds a fresh engine and component graph from the Config, so
-// runs are deterministic and independent.
+// New only checks the Config. Each Run builds a fresh engine and, once,
+// the part of the component graph it uses — the DRAM controller, the
+// fabrics, the assigned IPs and, under coordination, the host — so runs
+// are deterministic and independent, and idle IPs cost nothing.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/gables-model/gables/internal/kernel"
 	"github.com/gables-model/gables/internal/sim/engine"
@@ -49,10 +52,64 @@ type Config struct {
 	Thermal *thermal.Config
 }
 
-// Validate checks the configuration by instantiating it once.
+// Validate checks the configuration without building anything. It
+// rejects every configuration that building the run graph would: a DRAM
+// bandwidth that is not positive and finite, no IPs, duplicate IPs, an
+// invalid fabric tree, an IP on an undeclared fabric, an invalid IP
+// config, an undeclared host, and coordination costs with no host.
 func (c Config) Validate() error {
-	_, err := c.instantiate()
-	return err
+	if !(c.DRAMBandwidth > 0) || math.IsInf(c.DRAMBandwidth, 1) {
+		return fmt.Errorf("sim: %s: DRAM bandwidth must be positive and finite, got %v", c.Name, c.DRAMBandwidth)
+	}
+	if len(c.IPs) == 0 {
+		return fmt.Errorf("sim: %s: needs at least one IP", c.Name)
+	}
+	if err := noc.Validate(c.Fabrics); err != nil {
+		return err
+	}
+	needsHost := false
+	for i, spec := range c.IPs {
+		if c.ipIndex(spec.Name) < i {
+			return fmt.Errorf("sim: %s: duplicate IP %q", c.Name, spec.Name)
+		}
+		if spec.Fabric != "" && !c.hasFabric(spec.Fabric) {
+			return fmt.Errorf("sim: %s: IP %q: unknown fabric %q", c.Name, spec.Name, spec.Fabric)
+		}
+		if err := spec.Config.Validate(); err != nil {
+			return err
+		}
+		if spec.CoordinationOpsPerByte > 0 {
+			needsHost = true
+		}
+	}
+	if c.Host != "" {
+		if c.ipIndex(c.Host) < 0 {
+			return fmt.Errorf("sim: %s: host IP %q not declared", c.Name, c.Host)
+		}
+	} else if needsHost {
+		return fmt.Errorf("sim: %s: coordination costs configured but no host IP named", c.Name)
+	}
+	return nil
+}
+
+// ipIndex returns the position of the named IP in c.IPs, or -1.
+func (c Config) ipIndex(name string) int {
+	for i, spec := range c.IPs {
+		if spec.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// hasFabric reports whether c declares the named fabric.
+func (c Config) hasFabric(name string) bool {
+	for _, f := range c.Fabrics {
+		if f.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // System is a validated simulated SoC, ready to run measurements.
@@ -60,7 +117,8 @@ type System struct {
 	cfg Config
 }
 
-// New validates the configuration and returns a System.
+// New validates the configuration and returns a System. It builds no part
+// of the run graph; Run does that.
 func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -70,62 +128,6 @@ func New(cfg Config) (*System, error) {
 
 // Config returns the system's configuration.
 func (s *System) Config() Config { return s.cfg }
-
-// instance is one materialized run graph.
-type instance struct {
-	eng  *engine.Engine
-	dram *mem.Server
-	topo *noc.Topology
-	ips  map[string]*ip.IP
-	host *ip.IP
-}
-
-func (c Config) instantiate() (*instance, error) {
-	if c.DRAMBandwidth <= 0 {
-		return nil, fmt.Errorf("sim: %s: DRAM bandwidth must be positive", c.Name)
-	}
-	if len(c.IPs) == 0 {
-		return nil, fmt.Errorf("sim: %s: needs at least one IP", c.Name)
-	}
-	eng := engine.New()
-	dram, err := mem.NewServer(eng, "dram", c.DRAMBandwidth)
-	if err != nil {
-		return nil, err
-	}
-	topo, err := noc.Build(eng, c.Fabrics)
-	if err != nil {
-		return nil, err
-	}
-	inst := &instance{eng: eng, dram: dram, topo: topo, ips: make(map[string]*ip.IP, len(c.IPs))}
-	needsHost := false
-	for _, spec := range c.IPs {
-		if _, dup := inst.ips[spec.Name]; dup {
-			return nil, fmt.Errorf("sim: %s: duplicate IP %q", c.Name, spec.Name)
-		}
-		path, err := topo.Path(spec.Fabric)
-		if err != nil {
-			return nil, err
-		}
-		blk, err := ip.New(eng, spec.Config, path, dram)
-		if err != nil {
-			return nil, err
-		}
-		inst.ips[spec.Name] = blk
-		if spec.CoordinationOpsPerByte > 0 {
-			needsHost = true
-		}
-	}
-	if c.Host != "" {
-		host, ok := inst.ips[c.Host]
-		if !ok {
-			return nil, fmt.Errorf("sim: %s: host IP %q not declared", c.Name, c.Host)
-		}
-		inst.host = host
-	} else if needsHost {
-		return nil, fmt.Errorf("sim: %s: coordination costs configured but no host IP named", c.Name)
-	}
-	return inst, nil
-}
 
 // Assignment gives one IP a kernel to execute.
 type Assignment struct {
@@ -208,48 +210,79 @@ func (s *System) Run(assignments []Assignment, opt RunOptions) (*RunResult, erro
 	if opt.MaxEvents == 0 {
 		opt.MaxEvents = DefaultMaxEvents
 	}
-	inst, err := s.cfg.instantiate()
-	if err != nil {
-		return nil, err
-	}
-	if opt.Probe != nil {
-		inst.eng.SetProbe(opt.Probe)
-		inst.dram.SetProbe(opt.Probe)
-		inst.topo.SetProbe(opt.Probe)
-		for _, blk := range inst.ips {
-			blk.SetProbe(opt.Probe)
+	for i, a := range assignments {
+		if s.cfg.ipIndex(a.IP) < 0 {
+			return nil, fmt.Errorf("sim: %s: unknown IP %q in assignment %d", s.cfg.Name, a.IP, i)
+		}
+		for _, prev := range assignments[:i] {
+			if prev.IP == a.IP {
+				return nil, fmt.Errorf("sim: %s: IP %q assigned twice", s.cfg.Name, a.IP)
+			}
 		}
 	}
 
+	// Idle IPs schedule no events, so the run graph holds only the DRAM
+	// controller, the fabrics, the assigned IPs and, under coordination,
+	// the host.
+	eng := engine.New()
+	dram, err := mem.NewServer(eng, "dram", "", s.cfg.DRAMBandwidth)
+	if err != nil {
+		return nil, err
+	}
+	topo, err := noc.Build(eng, s.cfg.Fabrics)
+	if err != nil {
+		return nil, err
+	}
+	build := func(name string) (*ip.IP, error) {
+		spec := s.cfg.IPs[s.cfg.ipIndex(name)]
+		path, err := topo.Path(spec.Fabric)
+		if err != nil {
+			return nil, err
+		}
+		return ip.New(eng, spec.Config, path, dram)
+	}
 	type slot struct {
 		blk      *ip.IP
 		finished engine.Time
 		gov      *thermal.Governor
 	}
-	slots := make([]*slot, len(assignments))
-	seen := make(map[string]bool, len(assignments))
-	remaining := len(assignments)
-	var govs []*thermal.Governor
-
+	slots := make([]slot, len(assignments))
+	var host *ip.IP
 	for i, a := range assignments {
-		blk, ok := inst.ips[a.IP]
-		if !ok {
-			return nil, fmt.Errorf("sim: %s: unknown IP %q in assignment %d", s.cfg.Name, a.IP, i)
+		if slots[i].blk, err = build(a.IP); err != nil {
+			return nil, err
 		}
-		if seen[a.IP] {
-			return nil, fmt.Errorf("sim: %s: IP %q assigned twice", s.cfg.Name, a.IP)
+		if opt.Coordination && a.IP == s.cfg.Host {
+			host = slots[i].blk
 		}
-		seen[a.IP] = true
-		slots[i] = &slot{blk: blk}
+	}
+	if opt.Coordination && s.cfg.Host != "" && host == nil {
+		if host, err = build(s.cfg.Host); err != nil {
+			return nil, err
+		}
+	}
+	if opt.Probe != nil {
+		eng.SetProbe(opt.Probe)
+		dram.SetProbe(opt.Probe)
+		topo.SetProbe(opt.Probe)
+		for i := range slots {
+			slots[i].blk.SetProbe(opt.Probe)
+		}
+		if host != nil {
+			host.SetProbe(opt.Probe)
+		}
 	}
 
+	remaining := len(assignments)
+	var govs []*thermal.Governor
 	if opt.Thermal {
 		tcfg := thermal.DefaultConfig()
 		if s.cfg.Thermal != nil {
 			tcfg = *s.cfg.Thermal
 		}
-		for _, sl := range slots {
-			gov, err := thermal.NewGovernor(inst.eng, sl.blk, tcfg)
+		for i := range slots {
+			sl := &slots[i]
+			gov, err := thermal.NewGovernor(eng, sl.blk, tcfg)
 			if err != nil {
 				return nil, err
 			}
@@ -273,22 +306,25 @@ func (s *System) Run(assignments []Assignment, opt RunOptions) (*RunResult, erro
 	// coordination it also services other blocks' shepherding hops, whose
 	// completions forward work and must fire at their own instants.
 	if !opt.Thermal {
-		for _, sl := range slots {
-			if opt.Coordination && inst.host != nil && sl.blk == inst.host {
-				continue
+		for i := range slots {
+			if slots[i].blk != host {
+				slots[i].blk.ComputeServer().SetCoalescing(true)
 			}
-			sl.blk.ComputeServer().SetCoalescing(true)
 		}
 	}
 
+	var hostServer *mem.Server
+	if host != nil {
+		hostServer = host.ComputeServer()
+	}
 	for i, a := range assignments {
-		sl := slots[i]
-		var host *mem.Server
-		if opt.Coordination && inst.host != nil && sl.blk != inst.host {
-			host = inst.host.ComputeServer()
+		sl := &slots[i]
+		var coord *mem.Server
+		if sl.blk != host {
+			coord = hostServer
 		}
-		err := sl.blk.RunKernel(a.Kernel, host, func() {
-			sl.finished = inst.eng.Now()
+		err := sl.blk.RunKernel(a.Kernel, coord, func() {
+			sl.finished = eng.Now()
 			remaining--
 			if remaining == 0 {
 				for _, g := range govs {
@@ -301,7 +337,7 @@ func (s *System) Run(assignments []Assignment, opt RunOptions) (*RunResult, erro
 		}
 	}
 
-	if _, err := inst.eng.Run(opt.MaxEvents); err != nil {
+	if _, err := eng.Run(opt.MaxEvents); err != nil {
 		var le *engine.LimitError
 		if errors.As(err, &le) {
 			return nil, fmt.Errorf("sim: %s: MaxEvents guard (%d) tripped after %d events at t=%.6gs simulated: %w",
@@ -314,7 +350,8 @@ func (s *System) Run(assignments []Assignment, opt RunOptions) (*RunResult, erro
 	}
 
 	res := &RunResult{IPs: make([]IPResult, len(assignments))}
-	for i, sl := range slots {
+	for i := range slots {
+		sl := &slots[i]
 		r := IPResult{
 			IP:    assignments[i].IP,
 			Flops: sl.blk.OpsDone(),
@@ -337,7 +374,7 @@ func (s *System) Run(assignments []Assignment, opt RunOptions) (*RunResult, erro
 	}
 	if res.Makespan > 0 {
 		res.Rate = res.TotalFlops / res.Makespan
-		res.DRAMUtilization = inst.dram.Utilization(engine.Time(res.Makespan))
+		res.DRAMUtilization = dram.Utilization(engine.Time(res.Makespan))
 	}
 	return res, nil
 }

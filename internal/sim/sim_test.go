@@ -66,6 +66,32 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Error("coordination costs without a host must be rejected")
 	}
+
+	// New builds nothing, so each of these must be caught by the check
+	// itself, including faults in parts no run would build.
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"NaN DRAM bandwidth", func(c *Config) { c.DRAMBandwidth = math.NaN() }},
+		{"+Inf DRAM bandwidth", func(c *Config) { c.DRAMBandwidth = math.Inf(1) }},
+		{"-Inf DRAM bandwidth", func(c *Config) { c.DRAMBandwidth = math.Inf(-1) }},
+		{"zero fabric bandwidth", func(c *Config) { c.Fabrics[1].Bandwidth = 0 }},
+		{"NaN fabric bandwidth", func(c *Config) { c.Fabrics[1].Bandwidth = math.NaN() }},
+		{"unknown parent", func(c *Config) { c.Fabrics[1].Parent = "ghost" }},
+		{"two-fabric cycle", func(c *Config) { c.Fabrics[0].Parent = "system" }},
+		{"invalid config on an unassigned IP", func(c *Config) { c.IPs[2].ComputeRate = math.NaN() }},
+		{"invalid IP config", func(c *Config) { c.IPs[0].LinkBandwidth = 0 }},
+	} {
+		bad := Snapdragon835()
+		tc.mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate: %s must be rejected", tc.name)
+		}
+		if _, err := New(bad); err == nil {
+			t.Errorf("New: %s must be rejected", tc.name)
+		}
+	}
 }
 
 func TestRunValidation(t *testing.T) {

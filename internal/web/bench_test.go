@@ -2,15 +2,17 @@ package web
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-// The serving benchmarks drive NewHandler in process with a warm cache,
-// so they time the web layer plus cache reads: request parsing, routing,
-// admission, fingerprinting and JSON encoding.
+// The serving benchmarks drive NewHandler in process. The warm ones time
+// the web layer plus cache reads: request parsing, routing, admission,
+// fingerprinting and JSON encoding. The cold one adds a simulated run per
+// request.
 
 var (
 	hotChips = []string{"snapdragon835", "snapdragon821", "snapdragon835x"}
@@ -51,6 +53,33 @@ func BenchmarkServeEval(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serve(b, h, httptest.NewRequest(http.MethodGet, paths[i%len(paths)], nil))
+	}
+}
+
+// coldSeq numbers cold questions across benchmark rounds, so a later
+// round never repeats an earlier round's question.
+var coldSeq int
+
+// coldPath is the i-th question of a cold mix shaped like the serve_cold
+// workload's: a sim question on one of the three chip presets with a GPU
+// fraction in [0.02, 0.98), fpw 1-512 and 64 Ki-4 Mi words. The fraction
+// steps by the golden ratio, so no two indices ask the same question.
+func coldPath(i int) string {
+	u := math.Mod(float64(i)*0.6180339887498949, 1)
+	return fmt.Sprintf("/eval?backend=sim&chip=%s&f=%g&fpw=%d&words=%d",
+		hotChips[i%3], 0.02+0.96*u, 1+(i*37)%512, (64<<10)<<(i%7))
+}
+
+// BenchmarkServeEvalCold measures one cold GET /eval: every iteration asks
+// a new sim question, so each request misses the simulation cache and
+// builds and runs a simulated system.
+func BenchmarkServeEvalCold(b *testing.B) {
+	h := NewHandler(Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(b, h, httptest.NewRequest(http.MethodGet, coldPath(coldSeq), nil))
+		coldSeq++
 	}
 }
 
