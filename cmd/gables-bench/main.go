@@ -62,7 +62,7 @@ var suite = []target{
 	{Pkg: "./internal/surrogate", Bench: "BenchmarkSurrogateEvaluate$|BenchmarkSurrogateSimCold$|BenchmarkCalibrate$", Tier1: true},
 	{Pkg: "./internal/sim", Bench: "BenchmarkSimFingerprint$", Tier1: true},
 	{Pkg: "./internal/eval", Bench: "BenchmarkEvalFingerprint$", Tier1: true},
-	{Pkg: "./internal/web", Bench: "BenchmarkServeEval$|BenchmarkServeEvalCold$|BenchmarkServeBatch$", Tier1: true},
+	{Pkg: "./internal/web", Bench: "BenchmarkServeEval$|BenchmarkServeEvalCold$|BenchmarkServeBatch$|BenchmarkServePage$", Tier1: true},
 }
 
 // HarnessParallelFloor is the pinned minimum speedup of the parallel

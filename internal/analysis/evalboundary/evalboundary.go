@@ -2,7 +2,7 @@
 // the evaluation layer itself, code must answer "how fast can this SoC run
 // this usecase?" through internal/eval (an Evaluator from the registry),
 // not by calling the execution backends directly. Direct calls to
-// simcache.Run, (*sim.System).Run, or (*core.Model).Evaluate /
+// simcache.Run or RunKeyed, (*sim.System).Run, or (*core.Model).Evaluate /
 // EvaluateSerialized skip the canonical query fingerprint, the shared
 // outcome cache, the probe attachment point, and — most importantly — the
 // differential oracle's agreement bands, so analytic/sim divergence at such
@@ -30,7 +30,7 @@ import (
 // Analyzer is the evalboundary rule.
 var Analyzer = &analysis.Analyzer{
 	Name: "evalboundary",
-	Doc: "flags direct simcache.Run/(*sim.System).Run/(*core.Model).Evaluate calls outside " +
+	Doc: "flags direct simcache.Run/RunKeyed/(*sim.System).Run/(*core.Model).Evaluate calls outside " +
 		"internal/eval and tests; route evaluation through the eval.Evaluator registry",
 	Run: run,
 }
@@ -100,8 +100,8 @@ func boundaryCall(pass *analysis.Pass, call *ast.CallExpr) string {
 	}
 	recv := receiverTypeName(pass.TypesInfo, call)
 	switch {
-	case name == "Run" && isBackendPkg(pkgPath, "simcache") && recv == "":
-		return "simcache.Run"
+	case (name == "Run" || name == "RunKeyed") && isBackendPkg(pkgPath, "simcache") && recv == "":
+		return "simcache." + name
 	case name == "Run" && isBackendPkg(pkgPath, "sim") && recv == "System":
 		return "(*sim.System).Run"
 	case (name == "Evaluate" || name == "EvaluateSerialized") &&

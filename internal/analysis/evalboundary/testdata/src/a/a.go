@@ -14,6 +14,12 @@ func directSimcache() float64 {
 	return res.Rate
 }
 
+// directSimcacheKeyed calls the keyed entry point directly.
+func directSimcacheKeyed() float64 {
+	res, _ := simcache.RunKeyed("k", 4096) // want `simcache\.RunKeyed bypasses the eval boundary`
+	return res.Rate
+}
+
 // directSystemRun calls the simulator directly.
 func directSystemRun(sys *sim.System) float64 {
 	rate, _ := sys.Run(4096) // want `\(\*sim\.System\)\.Run bypasses the eval boundary`

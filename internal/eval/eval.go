@@ -30,6 +30,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/gables-model/gables/internal/kernel"
 	"github.com/gables-model/gables/internal/sim"
@@ -76,6 +77,18 @@ type Query struct {
 	Thermal bool
 	// MaxEvents bounds the simulated event count (0 = sim default).
 	MaxEvents int
+
+	// key holds the fingerprints Keyed derived from exactly these field
+	// values; nil means unkeyed. A keyed query must not be modified.
+	//
+	//fp:skip the query's own fingerprints, carried so each is computed once; never an input to them
+	key *queryKey
+}
+
+// queryKey is what Keyed computes once per query.
+type queryKey struct {
+	query string // Fingerprint(q)
+	run   string // sim.Fingerprint of the concurrent realization
 }
 
 // Fidelity classifies how an Evaluator produces answers.
@@ -231,6 +244,9 @@ func (q Query) Validate() error {
 		if w.Words == 0 {
 			continue
 		}
+		if w.Words > math.MaxInt/kernel.WordSize {
+			return fmt.Errorf("eval: IP %q: %d words overflow the byte count", q.Chip.IPs[i].Name, w.Words)
+		}
 		active++
 		if w.FlopsPerWord < 1 {
 			return fmt.Errorf("eval: IP %q: FlopsPerWord must be at least 1, got %d", q.Chip.IPs[i].Name, w.FlopsPerWord)
@@ -280,16 +296,9 @@ func (q Query) realize() ([]sim.Assignment, sim.RunOptions, error) {
 		if w.Words == 0 {
 			continue
 		}
-		as = append(as, sim.Assignment{
-			IP: q.Chip.IPs[i].Name,
-			Kernel: kernel.Kernel{
-				Name:         "eval/" + q.Chip.IPs[i].Name,
-				WorkingSet:   units.Bytes(w.Words * kernel.WordSize),
-				Trials:       q.trials(),
-				FlopsPerWord: w.FlopsPerWord,
-				Pattern:      w.Pattern,
-			},
-		})
+		k := q.kernel(i)
+		k.Name = "eval/" + q.Chip.IPs[i].Name
+		as = append(as, sim.Assignment{IP: q.Chip.IPs[i].Name, Kernel: k})
 	}
 	opt := sim.RunOptions{
 		Coordination: q.Coordination,
@@ -297,6 +306,35 @@ func (q Query) realize() ([]sim.Assignment, sim.RunOptions, error) {
 		MaxEvents:    q.MaxEvents,
 	}
 	return as, opt, nil
+}
+
+// kernel is IP i's realized kernel, without its display name.
+func (q Query) kernel(i int) kernel.Kernel {
+	w := q.Work[i]
+	return kernel.Kernel{
+		WorkingSet:   units.Bytes(w.Words * kernel.WordSize),
+		Trials:       q.trials(),
+		FlopsPerWord: w.FlopsPerWord,
+		Pattern:      w.Pattern,
+	}
+}
+
+// MinEvents is sim.MinEvents of the query's realization: a lower bound
+// on the simulated events that answering it takes, serialized or not
+// (serialized runs split the same chunks over one run per IP). It is 0
+// for an invalid query.
+func (q Query) MinEvents() int {
+	if q.Validate() != nil {
+		return 0
+	}
+	var stack [4]sim.Assignment
+	as := stack[:0]
+	for i, w := range q.Work {
+		if w.Words != 0 {
+			as = append(as, sim.Assignment{IP: q.Chip.IPs[i].Name, Kernel: q.kernel(i)})
+		}
+	}
+	return sim.MinEvents(q.Chip, as)
 }
 
 // Share names one IP's fraction of a split workload.

@@ -29,14 +29,41 @@ const FingerprintVersion = 1
 //
 //fp:encoder
 func Fingerprint(q Query) (string, error) {
+	if q.key != nil {
+		return q.key.query, nil
+	}
 	as, opt, err := q.realize()
 	if err != nil {
 		return "", err
 	}
-	inner := sim.Fingerprint(q.Chip, as, opt)
+	return queryFingerprint(q.Serialized, sim.Fingerprint(q.Chip, as, opt)), nil
+}
+
+// Keyed returns q carrying its fingerprints, so Fingerprint, the analytic
+// outcome cache and the sim backend's simcache lookup read them instead
+// of re-deriving them: a serving layer keys each query once, where it
+// parses it. An invalid query comes back unkeyed (its evaluation reports
+// the error), and a keyed one unchanged. The result must not be modified:
+// a changed copy would carry the original's key.
+func Keyed(q Query) Query {
+	if q.key != nil {
+		return q
+	}
+	as, opt, err := q.realize()
+	if err != nil {
+		return q
+	}
+	run := sim.Fingerprint(q.Chip, as, opt)
+	q.key = &queryKey{query: queryFingerprint(q.Serialized, run), run: run}
+	return q
+}
+
+// queryFingerprint hashes the run fingerprint of a query's realization
+// together with the eval-level semantics the run cannot express.
+func queryFingerprint(serialized bool, inner string) string {
 	var stack [8 + 1 + 8 + 2*sha256.Size]byte
 	buf := binary.LittleEndian.AppendUint64(stack[:0], FingerprintVersion)
-	if q.Serialized {
+	if serialized {
 		buf = append(buf, 1)
 	} else {
 		buf = append(buf, 0)
@@ -46,7 +73,7 @@ func Fingerprint(q Query) (string, error) {
 	sum := sha256.Sum256(buf)
 	var out [2 * sha256.Size]byte
 	hex.Encode(out[:], sum[:])
-	return string(out[:]), nil
+	return string(out[:])
 }
 
 // Key builds a content-addressed cache key under the eval namespace for

@@ -46,6 +46,15 @@ func (s *Sim) Evaluate(ctx context.Context, q Query) (*Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if !q.Serialized && q.key != nil {
+		// The carried run key answers a hit without realizing the
+		// assignments.
+		res, err := simcache.RunKeyed(q.Chip, q.key.run, q.realize)
+		if err != nil {
+			return nil, err
+		}
+		return simOutcome(res), nil
+	}
 	as, opt, err := q.realize()
 	if err != nil {
 		return nil, err

@@ -48,7 +48,8 @@ type Config struct {
 	// CacheBandwidth is hit bandwidth in bytes/s; required if CacheSize
 	// is set.
 	CacheBandwidth float64
-	// ChunkBytes is the pipeline granularity; defaults to 256 KiB.
+	// ChunkBytes is the pipeline granularity; defaults to
+	// DefaultChunkBytes.
 	ChunkBytes float64
 	// MaxInflight bounds outstanding chunk transfers; defaults to 4.
 	MaxInflight int
@@ -67,12 +68,16 @@ type Config struct {
 	MemoryLatency float64
 }
 
+// DefaultChunkBytes is the pipeline granularity used when
+// Config.ChunkBytes is zero.
+const DefaultChunkBytes = 256 * 1024
+
 func (c *Config) applyDefaults() {
 	if c.WritePenalty == 0 {
 		c.WritePenalty = 1
 	}
 	if c.ChunkBytes == 0 {
-		c.ChunkBytes = 256 * 1024
+		c.ChunkBytes = DefaultChunkBytes
 	}
 	if c.MaxInflight == 0 {
 		c.MaxInflight = 4

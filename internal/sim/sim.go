@@ -142,6 +142,31 @@ type Assignment struct {
 // implicit one address the same cache entry.
 const DefaultMaxEvents = 50_000_000
 
+// MinEvents is a lower bound on the events (*System).Run schedules for
+// the assignments on cfg: each IP splits every trial of its kernel into
+// ceil(WorkingSet/ChunkBytes) pipeline chunks, and every chunk schedules
+// at least one event. A run whose bound exceeds its MaxEvents guard can
+// only fail, so callers can refuse it before anything is built. Unknown
+// IPs count nothing (Run rejects them); the sum saturates at math.MaxInt.
+func MinEvents(cfg Config, assignments []Assignment) int {
+	total := 0.0
+	for _, a := range assignments {
+		i := cfg.ipIndex(a.IP)
+		if i < 0 {
+			continue
+		}
+		chunk := cfg.IPs[i].ChunkBytes
+		if chunk == 0 {
+			chunk = ip.DefaultChunkBytes
+		}
+		total += math.Ceil(float64(a.Kernel.WorkingSet)/chunk) * float64(a.Kernel.Trials)
+	}
+	if !(total < math.MaxInt) {
+		return math.MaxInt
+	}
+	return int(total)
+}
+
 // RunOptions control a measurement run.
 type RunOptions struct {
 	// Coordination charges each offloaded block's traffic to the host

@@ -55,13 +55,19 @@ func runProbe(cfg sim.Config, assignments []sim.Assignment, opt sim.RunOptions) 
 	if opt.Probe != nil {
 		return opt.Probe
 	}
-	probeMu.Lock()
-	f := probeFactory
-	probeMu.Unlock()
+	f := installedProbeFactory()
 	if f == nil {
 		return nil
 	}
 	return f(runLabel(cfg, assignments))
+}
+
+// installedProbeFactory returns the factory SetProbeFactory installed, if
+// any.
+func installedProbeFactory() func(label string) trace.Probe {
+	probeMu.Lock()
+	defer probeMu.Unlock()
+	return probeFactory
 }
 
 // runLabel names one run for trace artifacts: the chip, then each
@@ -98,24 +104,52 @@ func Run(cfg sim.Config, assignments []sim.Assignment, opt sim.RunOptions) (*sim
 	if p := runProbe(cfg, assignments, opt); p != nil {
 		defaultCache.Bypass()
 		opt.Probe = p
-		sys, err := sim.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return sys.Run(assignments, opt)
+		return execute(cfg, assignments, opt)
 	}
 	key := sim.Fingerprint(cfg, assignments, opt)
 	res, err := defaultCache.Get(key, func() (*sim.RunResult, error) {
-		sys, err := sim.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return sys.Run(assignments, opt)
+		return execute(cfg, assignments, opt)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return cloneResult(res), nil
+}
+
+// RunKeyed is Run for a caller that already holds the run's key: the
+// sim.Fingerprint of cfg and of the assignments and options realize
+// returns. realize runs only when the run executes — on a miss, or when a
+// probe factory is installed, in which case the run bypasses the cache
+// exactly as in Run. realize's options must carry no probe: the factory
+// is how keyed runs are traced.
+func RunKeyed(cfg sim.Config, key string, realize func() ([]sim.Assignment, sim.RunOptions, error)) (*sim.RunResult, error) {
+	if installedProbeFactory() != nil {
+		assignments, opt, err := realize()
+		if err != nil {
+			return nil, err
+		}
+		return Run(cfg, assignments, opt)
+	}
+	res, err := defaultCache.Get(key, func() (*sim.RunResult, error) {
+		assignments, opt, err := realize()
+		if err != nil {
+			return nil, err
+		}
+		return execute(cfg, assignments, opt)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cloneResult(res), nil
+}
+
+// execute builds the system and runs the assignments on it.
+func execute(cfg sim.Config, assignments []sim.Assignment, opt sim.RunOptions) (*sim.RunResult, error) {
+	sys, err := sim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sys.Run(assignments, opt)
 }
 
 // cloneResult deep-copies a run result (the struct plus its one slice) so

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"github.com/gables-model/gables/internal/eval"
+	"github.com/gables-model/gables/internal/jsonenc"
 	"github.com/gables-model/gables/internal/parallel"
 )
 
@@ -139,7 +140,66 @@ func (s *server) batchHandler(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]batchItemResult, len(req.Items))
 	s.evaluateBatch(r.Context(), req, results, nil)
-	writeJSON(w, http.StatusOK, batchResponse{Items: results})
+	writeAnswer(w, &batchResponse{Items: results})
+}
+
+// AppendJSON appends the item's JSON encoding, byte-identical to
+// json.Marshal's: every field is omitempty, so each is written with a
+// leading comma and the first comma becomes the opening brace.
+func (r *batchItemResult) AppendJSON(dst []byte) []byte {
+	start := len(dst)
+	if r.Chip != "" {
+		dst = append(dst, `,"chip":`...)
+		dst = jsonenc.AppendString(dst, r.Chip)
+	}
+	if r.Backend != "" {
+		dst = append(dst, `,"backend":`...)
+		dst = jsonenc.AppendString(dst, r.Backend)
+	}
+	if r.Fingerprint != "" {
+		dst = append(dst, `,"fingerprint":`...)
+		dst = jsonenc.AppendString(dst, r.Fingerprint)
+	}
+	if r.Outcome != nil {
+		dst = append(dst, `,"outcome":`...)
+		dst = r.Outcome.AppendJSON(dst)
+	}
+	if r.Error != "" {
+		dst = append(dst, `,"error":`...)
+		dst = jsonenc.AppendString(dst, r.Error)
+	}
+	if len(dst) == start {
+		return append(dst, "{}"...)
+	}
+	dst[start] = '{'
+	return append(dst, '}')
+}
+
+func (r *batchItemResult) finite() bool { return r.Outcome.Finite() }
+
+// AppendJSON appends the response's JSON encoding, byte-identical to
+// json.Marshal's.
+func (r *batchResponse) AppendJSON(dst []byte) []byte {
+	if r.Items == nil {
+		return append(dst, `{"items":null}`...)
+	}
+	dst = append(dst, `{"items":[`...)
+	for i := range r.Items {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = r.Items[i].AppendJSON(dst)
+	}
+	return append(dst, "]}"...)
+}
+
+func (r *batchResponse) finite() bool {
+	for i := range r.Items {
+		if !r.Items[i].finite() {
+			return false
+		}
+	}
+	return true
 }
 
 // streamBatch answers the NDJSON shape: evaluation runs concurrently with
@@ -166,10 +226,15 @@ func (s *server) streamBatch(w http.ResponseWriter, r *http.Request, req batchRe
 
 	w.Header().Set("Content-Type", ndjsonContentType)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	var line []byte
 	for i := 0; i < n; i++ {
 		<-ready[i] // evaluateBatch finalizes every item, canceled or not
-		if err := enc.Encode(&results[i]); err != nil {
+		if !results[i].finite() {
+			cancel() // an unencodable item: the line boundary marks the cut
+			break
+		}
+		line = append(results[i].AppendJSON(line[:0]), '\n')
+		if _, err := w.Write(line); err != nil {
 			cancel() // mid-stream failure: the line boundary marks the cut
 			break
 		}
@@ -319,7 +384,7 @@ func allSupported(ev eval.Evaluator, idxs []int, queries []eval.Query) bool {
 }
 
 // finishItem builds one successful item result, attaching the canonical
-// fingerprint.
+// fingerprint (the key buildQuery computed).
 func finishItem(q eval.Query, o *eval.Outcome) batchItemResult {
 	res := batchItemResult{Chip: q.Chip.Name, Backend: o.Backend, Outcome: o}
 	if fp, err := eval.Fingerprint(q); err == nil {

@@ -11,7 +11,8 @@ import (
 
 // The serving benchmarks drive NewHandler in process. The warm ones time
 // the web layer plus cache reads: request parsing, routing, admission,
-// fingerprinting and JSON encoding. The cold one adds a simulated run per
+// fingerprinting and JSON encoding (for pages, the page cache lookup and
+// writing its rendered bytes). The cold one adds a simulated run per
 // request.
 
 var (
@@ -101,5 +102,28 @@ func BenchmarkServeBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serve(b, h, post())
+	}
+}
+
+// BenchmarkServePage measures one warm GET of the interactive "/" page,
+// cycling over the 12-page form grid the serve_hot workload asks: work
+// fraction f x IP[1] intensity x accelerator speed-up A1.
+func BenchmarkServePage(b *testing.B) {
+	h := NewHandler(Options{})
+	var paths []string
+	for _, f := range []string{"0.25", "0.5", "0.75"} {
+		for _, i1 := range []string{"0.1", "1"} {
+			for _, a := range []string{"2", "5"} {
+				paths = append(paths, "/?f="+f+"&i1="+i1+"&a="+a)
+			}
+		}
+	}
+	for _, p := range paths {
+		serve(b, h, httptest.NewRequest(http.MethodGet, p, nil))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(b, h, httptest.NewRequest(http.MethodGet, paths[i%len(paths)], nil))
 	}
 }

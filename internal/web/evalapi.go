@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 
 	"github.com/gables-model/gables/internal/eval"
+	"github.com/gables-model/gables/internal/jsonenc"
 	"github.com/gables-model/gables/internal/sim"
 )
 
@@ -66,15 +68,31 @@ func (s *server) evalHandler(w http.ResponseWriter, r *http.Request) {
 		evalError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	fp, err := eval.Fingerprint(q)
+	fp, err := eval.Fingerprint(q) // the key parseEvalQuery computed
 	if err != nil {
 		evalError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, evalResponse{
+	writeAnswer(w, &evalResponse{
 		Chip: q.Chip.Name, Backend: o.Backend, Fingerprint: fp, Outcome: o,
 	})
 }
+
+// AppendJSON appends the response's JSON encoding, byte-identical to
+// json.Marshal's (see eval.Outcome.AppendJSON).
+func (r *evalResponse) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"chip":`...)
+	dst = jsonenc.AppendString(dst, r.Chip)
+	dst = append(dst, `,"backend":`...)
+	dst = jsonenc.AppendString(dst, r.Backend)
+	dst = append(dst, `,"fingerprint":`...)
+	dst = jsonenc.AppendString(dst, r.Fingerprint)
+	dst = append(dst, `,"outcome":`...)
+	dst = r.Outcome.AppendJSON(dst)
+	return append(dst, '}')
+}
+
+func (r *evalResponse) finite() bool { return r.Outcome.Finite() }
 
 // resolveBackend maps a request's backend name to an evaluator: the
 // process default when empty, the registry otherwise.
@@ -131,9 +149,45 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		evalError(w, http.StatusInternalServerError, err) // a string map always encodes
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)+1))
+	writeBody(w, status, "application/json", append(body, '\n'))
+}
+
+// answer is an evaluation response body with a reflection-free encoder.
+type answer interface {
+	// AppendJSON appends the body, byte-identical to json.Marshal's.
+	AppendJSON(dst []byte) []byte
+	// finite reports whether json.Marshal would accept the body: it
+	// rejects non-finite numbers, and then so does writeAnswer.
+	finite() bool
+}
+
+// answerBufs recycles answer bodies; buffers past maxPooledAnswer (large
+// batches) are left to the collector.
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledAnswer = 64 << 10
+
+// writeAnswer answers 200 with a's JSON and a newline: the bytes writeJSON
+// would write, without reflection. A body json.Marshal rejects goes
+// through writeJSON, which reports the failure as before.
+func writeAnswer(w http.ResponseWriter, a answer) {
+	if !a.finite() {
+		writeJSON(w, http.StatusOK, a)
+		return
+	}
+	buf := answerBufs.Get().(*[]byte)
+	body := append(a.AppendJSON((*buf)[:0]), '\n')
+	writeBody(w, http.StatusOK, "application/json", body)
+	if cap(body) <= maxPooledAnswer {
+		*buf = body
+		answerBufs.Put(buf)
+	}
+}
+
+// writeBody writes a complete body with its length.
+func writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body)
-	w.Write([]byte{'\n'})
 }

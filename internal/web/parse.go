@@ -7,6 +7,7 @@ import (
 
 	"github.com/gables-model/gables/internal/eval"
 	"github.com/gables-model/gables/internal/kernel"
+	"github.com/gables-model/gables/internal/sim"
 )
 
 // The one validated numeric parser. PR 5 guarded the HTML form pages
@@ -78,8 +79,32 @@ func defaultEvalSpec() evalQuerySpec {
 }
 
 // buildQuery validates the spec and realizes it as the canonical
-// eval.Query: a CPU/GPU(/DSP) work split on a preset chip.
+// eval.Query, keyed once here for every later layer (eval.Keyed). It
+// refuses a question whose simulation could not finish within
+// sim.DefaultMaxEvents before anything is built, naming words when one
+// trial is already over that budget and trials otherwise; the analytic
+// backend refuses it too, so both backends accept the same questions.
 func (s evalQuerySpec) buildQuery() (eval.Query, error) {
+	q, err := s.query()
+	if err != nil {
+		return eval.Query{}, err
+	}
+	if n := q.MinEvents(); n > sim.DefaultMaxEvents {
+		field, value := "trials", s.Trials
+		one := q
+		one.Trials = 1
+		if one.MinEvents() > sim.DefaultMaxEvents {
+			field, value = "words", s.Words
+		}
+		return eval.Query{}, &fieldError{Field: field, Value: strconv.Itoa(value),
+			Reason: fmt.Sprintf("needs at least %d simulated events, over the %d-event budget", n, sim.DefaultMaxEvents)}
+	}
+	return eval.Keyed(q), nil
+}
+
+// query validates the spec and builds the unkeyed eval.Query: a
+// CPU/GPU(/DSP) work split on a preset chip.
+func (s evalQuerySpec) query() (eval.Query, error) {
 	cfg, err := evalChip(s.Chip)
 	if err != nil {
 		return eval.Query{}, err
@@ -89,6 +114,9 @@ func (s evalQuerySpec) buildQuery() (eval.Query, error) {
 	}
 	if s.Words <= 0 {
 		return eval.Query{}, fmt.Errorf("words must be positive, got %d", s.Words)
+	}
+	if s.Words > math.MaxInt/kernel.WordSize {
+		return eval.Query{}, &fieldError{Field: "words", Value: strconv.Itoa(s.Words), Reason: "overflows the byte count"}
 	}
 	if s.Trials <= 0 {
 		return eval.Query{}, fmt.Errorf("trials must be positive, got %d", s.Trials)

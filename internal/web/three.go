@@ -187,15 +187,19 @@ var threeTemplate = template.Must(template.New("three").Parse(`<!DOCTYPE html>
 // threeHandler serves the three-IP page.
 func threeHandler(w http.ResponseWriter, r *http.Request) {
 	p, ferrs := parseThreeParams(r)
-	ev, err := EvaluateThreeCached(p)
+	pg, err := threeIPPage(p)
+	if err == nil && len(ferrs) == 0 {
+		writeHTML(w, pg.html)
+		return
+	}
+	ev := &Evaluation{}
 	if err != nil {
-		ev = &Evaluation{Err: err.Error()}
+		ev.Err = err.Error()
+	} else {
+		ev = cloneEvaluation(pg.ev)
 	}
-	ev.FormErrors = ferrs // after the cache clone: never cached
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := threeTemplate.Execute(w, threePage{Params: p, Evaluation: ev}); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	ev.FormErrors = ferrs // on a private copy: never cached
+	renderFresh(w, threeTemplate, threePage{Params: p, Evaluation: ev})
 }
 
 // parseThreeParams reads the three-IP form, reporting each malformed field

@@ -242,15 +242,19 @@ func NewHandler(opts Options) http.Handler {
 			return
 		}
 		p, ferrs := parseParams(r)
-		ev, err := EvaluateCached(p)
+		pg, err := twoIPPage(p)
+		if err == nil && len(ferrs) == 0 {
+			writeHTML(w, pg.html)
+			return
+		}
+		ev := &Evaluation{Params: p}
 		if err != nil {
-			ev = &Evaluation{Params: p, Err: err.Error()}
+			ev.Err = err.Error()
+		} else {
+			ev = cloneEvaluation(pg.ev)
 		}
-		ev.FormErrors = ferrs // after the cache clone: never cached
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		if err := page.Execute(w, ev); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		ev.FormErrors = ferrs // on a private copy: never cached
+		renderFresh(w, page, ev)
 	})
 	return mux
 }
