@@ -223,6 +223,28 @@ type RunResult struct {
 	DRAMUtilization float64
 }
 
+// Check reports whether r has the shape every finished run has: at least
+// one IP result, and every measured quantity finite and non-negative.
+// The result cache's disk layer rejects a decoded entry that fails it.
+func (r *RunResult) Check() error {
+	if r == nil {
+		return errors.New("sim: nil run result")
+	}
+	if len(r.IPs) == 0 {
+		return errors.New("sim: run result has no IP results")
+	}
+	vals := []float64{r.Makespan, r.TotalFlops, r.Rate, r.DRAMUtilization}
+	for _, ip := range r.IPs {
+		vals = append(vals, ip.Flops, ip.Bytes, ip.Time, ip.Rate, ip.Bandwidth, ip.MaxTemp)
+	}
+	for _, v := range vals {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("sim: run result holds %v, want finite and non-negative", v)
+		}
+	}
+	return nil
+}
+
 // Run executes the assignments concurrently from time zero and returns the
 // measured results.
 func (s *System) Run(assignments []Assignment, opt RunOptions) (*RunResult, error) {

@@ -112,6 +112,37 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunResultCheck: a real run passes Check, and each way a stored
+// result can be malformed fails it.
+func TestRunResultCheck(t *testing.T) {
+	k := kernel.Kernel{Name: "k", WorkingSet: 1 << 20, Trials: 2, FlopsPerWord: 8, Pattern: kernel.ReadWrite}
+	good, err := mustSystem(t, Snapdragon835()).Run([]Assignment{{IP: "CPU", Kernel: k}}, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := good.Check(); err != nil {
+		t.Fatalf("a real run fails Check: %v", err)
+	}
+	for name, mutate := range map[string]func(r *RunResult){
+		"no IPs":         func(r *RunResult) { r.IPs = nil },
+		"NaN makespan":   func(r *RunResult) { r.Makespan = math.NaN() },
+		"+Inf rate":      func(r *RunResult) { r.Rate = math.Inf(1) },
+		"negative util":  func(r *RunResult) { r.DRAMUtilization = -0.5 },
+		"NaN IP flops":   func(r *RunResult) { r.IPs[0].Flops = math.NaN() },
+		"negative IP bw": func(r *RunResult) { r.IPs[0].Bandwidth = -1 },
+	} {
+		r := *good
+		r.IPs = append([]IPResult(nil), good.IPs...)
+		mutate(&r)
+		if r.Check() == nil {
+			t.Errorf("%s: Check accepted %+v", name, r)
+		}
+	}
+	if (*RunResult)(nil).Check() == nil {
+		t.Error("Check accepted a nil result")
+	}
+}
+
 // TestCalibrationCPU checks the simulated CPU reproduces the paper's
 // Figure 7a ceilings: 7.5 GFLOPS/s peak and 15.1 GB/s read+write DRAM
 // bandwidth (~20 GB/s read-only).

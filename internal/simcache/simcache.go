@@ -13,10 +13,13 @@
 //     sharing one directory skip already-simulated points across
 //     processes.
 //
-// The LRU is sharded (power-of-two shard count, per-shard mutex, shard
-// chosen by a hash of the key prefix) so parallel grid workers don't
-// serialize on one lock; a key always maps to one shard, which preserves
-// the singleflight guarantee. Stats are merged across shards on read.
+// One mutex guards the LRU list, the entry map, the flight table, the
+// counters and the disk directory, so eviction is exact LRU and a stats
+// snapshot is one copy. The cache was once split into 16 shards to spread
+// lock contention, but on a 2-vCPU Xeon (go1.24) BenchmarkCacheContention
+// at -cpu 2 read 135–167 ns/op with 16 shards against 98–117 ns/op with
+// one, and per-shard eviction dropped 117 entries where one was due. A
+// hit holds the lock for a map lookup and a list move.
 //
 // Correctness contract: a key must be content-addressed — it encodes every
 // input that can influence the value — and the computation must be
@@ -62,17 +65,6 @@ type Stats struct {
 	Entries int `json:"entries"`
 }
 
-// add merges another snapshot into s (Stats is a sum across shards).
-func (s *Stats) add(o Stats) {
-	s.Hits += o.Hits
-	s.DiskHits += o.DiskHits
-	s.Misses += o.Misses
-	s.Coalesced += o.Coalesced
-	s.Bypassed += o.Bypassed
-	s.Evictions += o.Evictions
-	s.Entries += o.Entries
-}
-
 // Options configure a Cache.
 type Options struct {
 	// Capacity bounds the total in-memory entry count; <= 0 uses
@@ -82,12 +74,6 @@ type Options struct {
 	// write). Entries are JSON files named <key>.json. Empty disables
 	// the layer.
 	Dir string
-	// Shards sets the LRU shard count, rounded up to a power of two and
-	// capped at Capacity. 0 picks automatically: one shard per 64
-	// entries of capacity, at most 16 — small caches (the kind tests pin
-	// exact eviction order on) stay single-sharded, grid-sized caches
-	// spread contention.
-	Shards int
 }
 
 // DefaultCapacity is the in-memory bound when Options.Capacity is unset:
@@ -96,24 +82,10 @@ type Options struct {
 // in the tens of megabytes.
 const DefaultCapacity = 4096
 
-// maxAutoShards bounds the automatic shard count; contention wins flatten
-// out well before lock count reaches typical grid worker counts.
-const maxAutoShards = 16
-
 // Cache is a bounded, content-addressed result cache with singleflight
 // deduplication. The zero value is not usable; construct with New. All
 // methods are safe for concurrent use.
 type Cache[V any] struct {
-	shards []*shard[V]
-	mask   uint32
-
-	dirMu sync.Mutex
-	dir   string
-}
-
-// shard is one lock domain: a slice of the key space with its own LRU,
-// flight table and counters.
-type shard[V any] struct {
 	capacity int
 
 	mu      sync.Mutex
@@ -121,6 +93,7 @@ type shard[V any] struct {
 	lru     *list.List               // front = most recently used
 	flights map[string]*flight[V]
 	stats   Stats
+	dir     string
 }
 
 type entry[V any] struct {
@@ -135,71 +108,19 @@ type flight[V any] struct {
 	err  error
 }
 
-// shardCount resolves Options.Shards against the capacity.
-func shardCount(requested, capacity int) int {
-	n := requested
-	if n <= 0 {
-		n = capacity / 64
-		if n > maxAutoShards {
-			n = maxAutoShards
-		}
-	}
-	if n > capacity {
-		n = capacity
-	}
-	if n < 1 {
-		n = 1
-	}
-	// Round up to a power of two so shard selection is a mask.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // New constructs a cache.
 func New[V any](opts Options) *Cache[V] {
 	capacity := opts.Capacity
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	n := shardCount(opts.Shards, capacity)
-	// Ceil-divide so the shards together hold at least Capacity.
-	per := (capacity + n - 1) / n
-	c := &Cache[V]{
-		shards: make([]*shard[V], n),
-		mask:   uint32(n - 1),
-		dir:    opts.Dir,
+	return &Cache[V]{
+		capacity: capacity,
+		entries:  make(map[string]*list.Element),
+		lru:      list.New(),
+		flights:  make(map[string]*flight[V]),
+		dir:      opts.Dir,
 	}
-	for i := range c.shards {
-		c.shards[i] = &shard[V]{
-			capacity: per,
-			entries:  make(map[string]*list.Element),
-			lru:      list.New(),
-			flights:  make(map[string]*flight[V]),
-		}
-	}
-	return c
-}
-
-// shardFor hashes the key prefix (run fingerprints and sha-256 keys front-
-// load their entropy) onto a shard with FNV-1a.
-func (c *Cache[V]) shardFor(key string) *shard[V] {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	n := len(key)
-	if n > 16 {
-		n = 16
-	}
-	for i := 0; i < n; i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return c.shards[h&c.mask]
 }
 
 // Get returns the value for key, computing it with compute on a miss.
@@ -209,48 +130,48 @@ func (c *Cache[V]) shardFor(key string) *shard[V] {
 // cached. The returned value is shared with the cache: callers must treat
 // it as immutable (wrap Get if a defensive copy is needed).
 func (c *Cache[V]) Get(key string, compute func() (V, error)) (V, error) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
-		s.stats.Hits++
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(el)
+		c.stats.Hits++
 		v := el.Value.(*entry[V]).val
-		s.mu.Unlock()
+		c.mu.Unlock()
 		return v, nil
 	}
-	if f, ok := s.flights[key]; ok {
-		s.stats.Coalesced++
-		s.mu.Unlock()
+	if f, ok := c.flights[key]; ok {
+		c.stats.Coalesced++
+		c.mu.Unlock()
 		<-f.done
 		return f.val, f.err
 	}
 	f := &flight[V]{done: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
+	c.flights[key] = f
+	dir := c.dir // the flight's disk layer, fixed for its whole life
+	c.mu.Unlock()
 
 	// Behind memory: disk, then compute. A fresh computation is written
 	// to disk (when enabled), so other processes sharing the directory —
 	// later runs, or replicas — find it instead of recomputing.
-	v, err := c.loadDisk(key)
+	v, err := loadDisk[V](dir, key)
 	fromDisk := err == nil
 	if !fromDisk {
 		v, err = compute()
 		if err == nil {
-			c.storeDisk(key, v)
+			storeDisk(dir, key, v)
 		}
 	}
 
-	s.mu.Lock()
+	c.mu.Lock()
 	if fromDisk {
-		s.stats.DiskHits++
+		c.stats.DiskHits++
 	} else {
-		s.stats.Misses++
+		c.stats.Misses++
 	}
 	if err == nil {
-		s.insertLocked(key, v)
+		c.insertLocked(key, v)
 	}
-	delete(s.flights, key)
-	s.mu.Unlock()
+	delete(c.flights, key)
+	c.mu.Unlock()
 
 	f.val, f.err = v, err
 	close(f.done)
@@ -260,10 +181,9 @@ func (c *Cache[V]) Get(key string, compute func() (V, error)) (V, error) {
 // Peek reports whether key is resident in memory, without touching LRU
 // order or counters.
 func (c *Cache[V]) Peek(key string) bool {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
 	return ok
 }
 
@@ -273,22 +193,17 @@ func (c *Cache[V]) Peek(key string) bool {
 // report here so the counters still account for every lookup — bypassed
 // work must not masquerade as misses.
 func (c *Cache[V]) Bypass() {
-	s := c.shards[0]
-	s.mu.Lock()
-	s.stats.Bypassed++
-	s.mu.Unlock()
+	c.mu.Lock()
+	c.stats.Bypassed++
+	c.mu.Unlock()
 }
 
-// Stats returns a snapshot of the counters, summed across shards.
+// Stats returns a snapshot of the counters.
 func (c *Cache[V]) Stats() Stats {
-	var out Stats
-	for _, s := range c.shards {
-		s.mu.Lock()
-		snap := s.stats
-		snap.Entries = len(s.entries)
-		s.mu.Unlock()
-		out.add(snap)
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.stats
+	out.Entries = len(c.entries)
 	return out
 }
 
@@ -296,52 +211,42 @@ func (c *Cache[V]) Stats() Stats {
 // computations are unaffected (they complete and insert into the fresh
 // table). The disk layer is not touched.
 func (c *Cache[V]) Reset() {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		s.entries = make(map[string]*list.Element)
-		s.lru.Init()
-		s.stats = Stats{}
-		s.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.entries = make(map[string]*list.Element)
+	c.lru.Init()
+	c.stats = Stats{}
+	c.mu.Unlock()
 }
 
-func (s *shard[V]) insertLocked(key string, v V) {
-	if el, ok := s.entries[key]; ok {
+func (c *Cache[V]) insertLocked(key string, v V) {
+	if el, ok := c.entries[key]; ok {
 		// A concurrent flight (e.g. after Reset) already reinserted.
 		el.Value.(*entry[V]).val = v
-		s.lru.MoveToFront(el)
+		c.lru.MoveToFront(el)
 		return
 	}
-	s.entries[key] = s.lru.PushFront(&entry[V]{key: key, val: v})
-	for s.lru.Len() > s.capacity {
-		oldest := s.lru.Back()
-		s.lru.Remove(oldest)
-		delete(s.entries, oldest.Value.(*entry[V]).key)
-		s.stats.Evictions++
+	c.entries[key] = c.lru.PushFront(&entry[V]{key: key, val: v})
+	for c.lru.Len() > c.capacity {
+		oldest := c.lru.Back()
+		c.lru.Remove(oldest)
+		delete(c.entries, oldest.Value.(*entry[V]).key)
+		c.stats.Evictions++
 	}
 }
 
 // SetDir enables (or, with "", disables) the on-disk layer on a live
-// cache; in-memory contents and counters are preserved.
+// cache; in-memory contents and counters are preserved. Flights already
+// running keep the directory they started with.
 func (c *Cache[V]) SetDir(dir string) {
-	c.dirMu.Lock()
+	c.mu.Lock()
 	c.dir = dir
-	c.dirMu.Unlock()
-}
-
-// getDir reads the disk directory under its lock: SetDir can flip it
-// on a live cache while flights are reading it.
-func (c *Cache[V]) getDir() string {
-	c.dirMu.Lock()
-	defer c.dirMu.Unlock()
-	return c.dir
+	c.mu.Unlock()
 }
 
 // diskPath maps a key to its file. Keys are hex fingerprints or sha-256
 // hashes (see Key), so they are always path-safe; anything else is
 // rejected by load/store.
-func (c *Cache[V]) diskPath(key string) (string, error) {
-	dir := c.getDir()
+func diskPath(dir, key string) (string, error) {
 	if dir == "" {
 		return "", errDiskDisabled
 	}
@@ -354,12 +259,13 @@ func (c *Cache[V]) diskPath(key string) (string, error) {
 var errDiskDisabled = fmt.Errorf("simcache: disk layer disabled")
 
 // loadDisk decodes an on-disk entry. Any failure — layer disabled, file
-// absent, unreadable, or undecodable (e.g. a truncated write from an
-// interrupted process, or a schema change without a fingerprint bump) —
-// reports an error and the caller falls back to computing.
-func (c *Cache[V]) loadDisk(key string) (V, error) {
+// absent, unreadable, undecodable (e.g. a truncated write from an
+// interrupted process, or a schema change without a fingerprint bump), or
+// decoded into a value whose Check method rejects it — reports an error
+// and the caller falls back to computing.
+func loadDisk[V any](dir, key string) (V, error) {
 	var v V
-	path, err := c.diskPath(key)
+	path, err := diskPath(dir, key)
 	if err != nil {
 		return v, err
 	}
@@ -370,6 +276,11 @@ func (c *Cache[V]) loadDisk(key string) (V, error) {
 	if err := json.Unmarshal(data, &v); err != nil {
 		return v, fmt.Errorf("simcache: corrupt entry %s: %w", path, err)
 	}
+	if ck, ok := any(v).(interface{ Check() error }); ok {
+		if err := ck.Check(); err != nil {
+			return v, fmt.Errorf("simcache: invalid entry %s: %w", path, err)
+		}
+	}
 	return v, nil
 }
 
@@ -377,12 +288,11 @@ func (c *Cache[V]) loadDisk(key string) (V, error) {
 // rename over the final name, so concurrent processes and interrupted runs
 // never expose a partial entry. Disk trouble is deliberately soft — the
 // cache degrades to memory-only rather than failing the run.
-func (c *Cache[V]) storeDisk(key string, v V) {
-	path, err := c.diskPath(key)
+func storeDisk[V any](dir, key string, v V) {
+	path, err := diskPath(dir, key)
 	if err != nil {
 		return
 	}
-	dir := filepath.Dir(path)
 	data, err := json.Marshal(v)
 	if err != nil {
 		return

@@ -85,6 +85,81 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestLRUExactAtCapacity fills a default-capacity cache one past its
+// bound: exactly one entry goes, and it is the least recently used one.
+func TestLRUExactAtCapacity(t *testing.T) {
+	c := New[int](Options{})
+	keys := make([]string, DefaultCapacity+1)
+	for i := range keys {
+		k, err := Key("lru-exact", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = k
+		mustGet(t, c, k, func() (int, error) { return i, nil })
+	}
+	s := c.Stats()
+	if s.Evictions != 1 || s.Entries != DefaultCapacity {
+		t.Fatalf("stats = %+v, want 1 eviction and %d entries", s, DefaultCapacity)
+	}
+	if c.Peek(keys[0]) {
+		t.Error("the oldest key survived the eviction")
+	}
+	for i, k := range keys[1:] {
+		if !c.Peek(k) {
+			t.Fatalf("key %d evicted; only the oldest should go", i+1)
+		}
+	}
+}
+
+// TestConcurrentCounterInvariant runs concurrent Gets over overlapping
+// keys and checks the exactly-one-counter-per-Get contract: Hits +
+// DiskHits + Coalesced + Misses equals the number of Get calls, with one
+// miss per distinct key.
+func TestConcurrentCounterInvariant(t *testing.T) {
+	const (
+		workers = 8
+		keys    = 100
+		rounds  = 5
+	)
+	c := New[int](Options{})
+	keyset := make([]string, keys)
+	for i := range keyset {
+		k, err := Key("invariant", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keyset[i] = k
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i, k := range keyset {
+					v, err := c.Get(k, func() (int, error) { return i, nil })
+					if err != nil || v != i {
+						panic(fmt.Sprintf("Get(%d) = %d, %v", i, v, err))
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s := c.Stats()
+	total := s.Hits + s.DiskHits + s.Coalesced + s.Misses
+	if want := int64(workers * rounds * keys); total != want {
+		t.Errorf("counters account for %d Gets, want %d (stats %+v)", total, want, s)
+	}
+	if s.Misses != keys {
+		t.Errorf("%d misses for %d distinct keys (coalesced %d)", s.Misses, keys, s.Coalesced)
+	}
+	if s.Entries != keys || s.Evictions != 0 {
+		t.Errorf("unexpected occupancy: %+v", s)
+	}
+}
+
 // TestSingleflightCoalescing gates one slow computation while N waiters
 // pile onto the same key: compute must run once, and the waiters must be
 // counted as coalesced, not as hits or misses.
@@ -252,6 +327,52 @@ func TestDiskCorruptEntryFallsBack(t *testing.T) {
 	data, err := os.ReadFile(path)
 	if err != nil || string(data) != "9" {
 		t.Fatalf("corrupt entry not repaired: data=%q err=%v", data, err)
+	}
+}
+
+// TestDiskInvalidRunRecomputed: a file that decodes but holds no valid
+// run (no IP results, so a caller indexing IPs[0] would panic; or JSON
+// null, a nil result) is treated like garbage — a miss, recomputed equal
+// to a direct run, and the file replaced.
+func TestDiskInvalidRunRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	EnableDisk(dir)
+	defer func() {
+		DisableDisk()
+		ResetDefault()
+	}()
+	cfg := sim.Snapdragon835()
+	as := []sim.Assignment{{IP: "CPU", Kernel: kernel.Kernel{
+		Name: "t", WorkingSet: 1 << 20, Trials: 2, FlopsPerWord: 8, Pattern: kernel.ReadWrite,
+	}}}
+	sys, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := sys.Run(as, sim.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := sim.Fingerprint(cfg, as, sim.RunOptions{})
+	path := filepath.Join(dir, key+".json")
+	for _, body := range []string{`{"Makespan":1e-9,"Rate":5}`, `null`} {
+		ResetDefault()
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(cfg, as, sim.RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if fmt.Sprintf("%#v", *got) != fmt.Sprintf("%#v", *direct) {
+			t.Fatalf("%s: recomputed run differs from direct run:\n got %#v\nwant %#v", body, *got, *direct)
+		}
+		if s := DefaultStats(); s.Misses != 1 || s.DiskHits != 0 {
+			t.Fatalf("%s: stats = %+v, want the invalid entry counted as a miss", body, s)
+		}
+		if _, err := loadDisk[*sim.RunResult](dir, key); err != nil {
+			t.Fatalf("%s: invalid entry not replaced: %v", body, err)
+		}
 	}
 }
 

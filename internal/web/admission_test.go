@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/gables-model/gables/internal/eval"
+	"github.com/gables-model/gables/internal/parallel"
 )
 
 // Unit tests drive the limiter directly; the HTTP tests below pin the
@@ -275,11 +276,12 @@ func TestOverloadSheds(t *testing.T) {
 // TestBatchFanoutBounded pins the fix for the review's concurrency-bound
 // finding: a /eval/batch request's point-wise fan-out must charge every
 // worker beyond its own admission slot against MaxInFlight, so real
-// evaluation concurrency never reaches MaxInFlight × BatchWorkers.
+// evaluation concurrency never reaches MaxInFlight × the fan-out width.
 func TestBatchFanoutBounded(t *testing.T) {
+	t.Setenv(parallel.EnvVar, "4") // four fan-out workers wanted
 	stub := &stubBackend{started: make(chan int, 16), gate: make(chan struct{})}
 	eval.Register("stub-fanout", func() (eval.Evaluator, error) { return stub, nil })
-	srv := httptest.NewServer(NewHandler(Options{MaxInFlight: 2, QueueDepth: 4, BatchWorkers: 4}))
+	srv := httptest.NewServer(NewHandler(Options{MaxInFlight: 2, QueueDepth: 4}))
 	defer srv.Close()
 
 	respc := make(chan *http.Response, 1)
@@ -294,11 +296,12 @@ func TestBatchFanoutBounded(t *testing.T) {
 	}()
 
 	// The request's own slot plus one free slot: exactly two evaluations
-	// may run, despite BatchWorkers = 4 and four pending items.
+	// may run, despite four fan-out workers wanted and four pending items.
 	<-stub.started
 	<-stub.started
 	select {
 	case trials := <-stub.started:
+		close(stub.gate) // unblock the handlers so srv.Close returns
 		t.Fatalf("a third evaluation (trials=%d) started with MaxInFlight=2: fan-out is not charged", trials)
 	case <-time.After(100 * time.Millisecond):
 	}

@@ -115,10 +115,6 @@ func (s *server) batchHandler(w http.ResponseWriter, r *http.Request) {
 		evalError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed on /eval/batch (POST a JSON body)", r.Method))
 		return
 	}
-	limit := s.opts.BatchLimit
-	if limit <= 0 {
-		limit = DefaultBatchLimit
-	}
 	var req batchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
 	if err := dec.Decode(&req); err != nil {
@@ -129,8 +125,8 @@ func (s *server) batchHandler(w http.ResponseWriter, r *http.Request) {
 		evalError(w, http.StatusBadRequest, fmt.Errorf("batch has no items"))
 		return
 	}
-	if len(req.Items) > limit {
-		evalError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("batch has %d items, limit %d", len(req.Items), limit))
+	if len(req.Items) > DefaultBatchLimit {
+		evalError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("batch has %d items, limit %d", len(req.Items), DefaultBatchLimit))
 		return
 	}
 
@@ -328,7 +324,7 @@ func (s *server) evaluateGroup(ctx context.Context, ev eval.Evaluator, idxs []in
 	// must win a free slot or it doesn't run, so the whole fleet of point
 	// requests, batches, and batch workers stays under MaxInFlight. With
 	// nothing free the group degrades to sequential on the slot it holds.
-	workers := parallel.Workers(s.opts.BatchWorkers)
+	workers := parallel.Workers(0)
 	if workers > len(idxs) {
 		workers = len(idxs)
 	}

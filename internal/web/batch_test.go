@@ -279,7 +279,7 @@ func TestBatchStreamIncremental(t *testing.T) {
 func TestBatchCanceledItems(t *testing.T) {
 	stub := &slowItemBackend{block: -1, gate: make(chan struct{})}
 	eval.Register("stub-cancel", func() (eval.Evaluator, error) { return stub, nil })
-	s := &server{opts: Options{}, adm: newAdmission(4, 4)}
+	s := &server{adm: newAdmission(4, 4)}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before any item can start
@@ -307,8 +307,9 @@ func TestBatchCanceledItems(t *testing.T) {
 }
 
 func TestBatchRequestErrors(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(Options{BatchLimit: 2}))
+	srv := httptest.NewServer(NewHandler(Options{}))
 	defer srv.Close()
+	overLimit := `{"items": [{}` + strings.Repeat(`, {}`, DefaultBatchLimit) + `]}`
 
 	for _, tc := range []struct {
 		name, body string
@@ -317,11 +318,11 @@ func TestBatchRequestErrors(t *testing.T) {
 		{"garbage", `{"items": [`, http.StatusBadRequest},
 		{"empty", `{"items": []}`, http.StatusBadRequest},
 		{"no-items", `{}`, http.StatusBadRequest},
-		{"over-limit", `{"items": [{}, {}, {}]}`, http.StatusRequestEntityTooLarge},
+		{"over-limit", overLimit, http.StatusRequestEntityTooLarge},
 	} {
 		resp, body := postBatch(t, srv, "/eval/batch", tc.body)
 		if resp.StatusCode != tc.want {
-			t.Errorf("%s: status = %d, want %d: %s", tc.name, resp.StatusCode, tc.want, body)
+			t.Errorf("%s: status = %d, want %d: %.300s", tc.name, resp.StatusCode, tc.want, body)
 		}
 	}
 }

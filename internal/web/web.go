@@ -195,21 +195,11 @@ type Options struct {
 	// QueueDepth bounds each admission class's wait queue; <= 0 uses
 	// DefaultQueueDepth.
 	QueueDepth int
-	// BatchLimit bounds the item count of one /eval/batch request;
-	// <= 0 uses DefaultBatchLimit.
-	BatchLimit int
-	// BatchWorkers bounds the per-request fan-out of the batch
-	// endpoint's point-wise fallback path; <= 0 uses the
-	// parallel.Workers default. Fan-out workers beyond a request's own
-	// admission slot are additionally charged against MaxInFlight (see
-	// admission.go), so this is a per-request ceiling, not a grant.
-	BatchWorkers int
 }
 
-// server binds the handlers to one admission limiter and its options.
+// server binds the handlers to one admission limiter.
 type server struct {
-	opts Options
-	adm  *admission
+	adm *admission
 }
 
 // EnvOptions returns Options populated from the environment
@@ -230,7 +220,7 @@ func Handler() http.Handler { return NewHandler(EnvOptions()) }
 // evaluation API (/eval, /eval/batch) behind the admission limiter, and
 // the counters at /stats.
 func NewHandler(opts Options) http.Handler {
-	s := &server{opts: opts, adm: newAdmission(opts.MaxInFlight, opts.QueueDepth)}
+	s := &server{adm: newAdmission(opts.MaxInFlight, opts.QueueDepth)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/three", threeHandler)
 	mux.HandleFunc("/eval", s.admit(classInteractive, s.evalHandler))
